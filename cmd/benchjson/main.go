@@ -59,16 +59,20 @@ func main() {
 	}
 }
 
-// Result is one parsed benchmark line.
+// Result is one parsed benchmark line. Pkg is the package whose `pkg:`
+// header preceded the line (absent in reports written before it was
+// recorded per benchmark).
 type Result struct {
 	Name    string             `json:"name"`
+	Pkg     string             `json:"pkg,omitempty"`
 	Runs    int64              `json:"runs"`
 	Metrics map[string]float64 `json:"metrics"`
 }
 
 // Report is the document benchjson emits. Runs is the `-count`
 // repetition depth the medians were taken over (largest group seen;
-// omitted in pre-aggregation reports).
+// omitted in pre-aggregation reports). Pkg is set only when every
+// benchmark comes from one package; each Result carries its own.
 type Report struct {
 	Goos       string   `json:"goos,omitempty"`
 	Goarch     string   `json:"goarch,omitempty"`
@@ -82,15 +86,22 @@ func run(in io.Reader, out io.Writer) error {
 	sc := bufio.NewScanner(in)
 	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
 	rep := Report{}
-	var order []string
-	samples := make(map[string][]Result)
+	// Repetitions group by package and name: two packages may hold
+	// benchmarks of the same name.
+	type benchID struct{ pkg, name string }
+	var order []benchID
+	samples := make(map[benchID][]Result)
+	pkgs := make(map[string]bool)
 	for sc.Scan() {
 		line := sc.Text()
 		if r, ok := parseBenchLine(line); ok {
-			if _, seen := samples[r.Name]; !seen {
-				order = append(order, r.Name)
+			r.Pkg = rep.Pkg // the latest pkg: header
+			pkgs[r.Pkg] = true
+			id := benchID{r.Pkg, r.Name}
+			if _, seen := samples[id]; !seen {
+				order = append(order, id)
 			}
-			samples[r.Name] = append(samples[r.Name], r)
+			samples[id] = append(samples[id], r)
 			continue
 		}
 		parseHeader(&rep, line)
@@ -98,12 +109,15 @@ func run(in io.Reader, out io.Writer) error {
 	if err := sc.Err(); err != nil {
 		return err
 	}
-	for _, name := range order {
-		group := samples[name]
+	for _, id := range order {
+		group := samples[id]
 		rep.Benchmarks = append(rep.Benchmarks, aggregate(group))
 		if len(group) > rep.Runs {
 			rep.Runs = len(group)
 		}
+	}
+	if len(pkgs) > 1 {
+		rep.Pkg = ""
 	}
 	if len(rep.Benchmarks) == 0 {
 		return fmt.Errorf("no benchmark lines found on stdin")
@@ -123,7 +137,7 @@ func aggregate(group []Result) Result {
 	if len(group) == 1 {
 		return group[0]
 	}
-	out := Result{Name: group[0].Name, Metrics: make(map[string]float64)}
+	out := Result{Name: group[0].Name, Pkg: group[0].Pkg, Metrics: make(map[string]float64)}
 	iters := make([]float64, len(group))
 	for i, r := range group {
 		iters[i] = float64(r.Runs)

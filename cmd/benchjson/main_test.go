@@ -106,6 +106,68 @@ func TestRunSingleShotKeepsLegacyShape(t *testing.T) {
 	}
 }
 
+// TestRunLabelsEachBenchmarkWithItsPackage: `go test -bench ./...` over
+// several packages prints one pkg: header per package; each benchmark
+// keeps the package it ran in (not the last header seen), same-named
+// benchmarks of two packages stay apart, and the top-level pkg is
+// dropped because no single package describes the report.
+func TestRunLabelsEachBenchmarkWithItsPackage(t *testing.T) {
+	input := strings.Join([]string{
+		"goos: linux",
+		"pkg: offramps",
+		"BenchmarkGoldenPrint-8   2   100 ns/op",
+		"BenchmarkShared-8        2   300 ns/op",
+		"PASS",
+		"ok  \tofframps\t1.0s",
+		"goos: linux",
+		"pkg: offramps/internal/sim",
+		"BenchmarkEngineSchedule-8   100   50 ns/op",
+		"BenchmarkShared-8           100   7 ns/op",
+		"PASS",
+	}, "\n")
+	var out strings.Builder
+	if err := run(strings.NewReader(input), &out); err != nil {
+		t.Fatal(err)
+	}
+	var rep Report
+	if err := json.Unmarshal([]byte(out.String()), &rep); err != nil {
+		t.Fatal(err)
+	}
+	if rep.Pkg != "" {
+		t.Errorf("top-level pkg = %q, want none for a two-package report", rep.Pkg)
+	}
+	want := []struct {
+		pkg, name string
+		ns        float64
+	}{
+		{"offramps", "BenchmarkGoldenPrint-8", 100},
+		{"offramps", "BenchmarkShared-8", 300},
+		{"offramps/internal/sim", "BenchmarkEngineSchedule-8", 50},
+		{"offramps/internal/sim", "BenchmarkShared-8", 7},
+	}
+	if len(rep.Benchmarks) != len(want) {
+		t.Fatalf("benchmarks = %+v, want %d", rep.Benchmarks, len(want))
+	}
+	for i, w := range want {
+		if b := rep.Benchmarks[i]; b.Pkg != w.pkg || b.Name != w.name || b.Metrics["ns/op"] != w.ns {
+			t.Errorf("benchmark %d = %s %s %v, want %s %s %v", i, b.Pkg, b.Name, b.Metrics["ns/op"], w.pkg, w.name, w.ns)
+		}
+	}
+
+	// A single-package report keeps its top-level pkg.
+	out.Reset()
+	if err := run(strings.NewReader("pkg: offramps\nBenchmarkGoldenPrint-8   2   100 ns/op"), &out); err != nil {
+		t.Fatal(err)
+	}
+	rep = Report{}
+	if err := json.Unmarshal([]byte(out.String()), &rep); err != nil {
+		t.Fatal(err)
+	}
+	if rep.Pkg != "offramps" || rep.Benchmarks[0].Pkg != "offramps" {
+		t.Errorf("single-package report: pkg %q, benchmark pkg %q", rep.Pkg, rep.Benchmarks[0].Pkg)
+	}
+}
+
 func TestParseHeader(t *testing.T) {
 	rep := Report{}
 	for _, line := range []string{

@@ -12,9 +12,11 @@
 //	coordinator -addr 127.0.0.1:7333 -ttl 30s -strikes 3 -fsync 1 grid.json
 //	coordinator -progressive -scenario-budget 14 -earlystop 2 grid_sweep.json
 //
-// -progressive feeds the lease queue from the progressive scheduler
-// (internal/sched) instead of naive suite order: workers receive one
-// round at a time — coverage first, then boundary-guided refinement —
+// Every sweep is fed from the scheduler (internal/sched). Without
+// -progressive it is the flat schedule: one round of every scenario in
+// suite order. -progressive schedules the grid's cells instead:
+// workers receive one round at a time — coverage first, then
+// boundary-guided refinement —
 // and scenarios the scheduler retires are journaled as synthesized
 // "skipped (...)" rows. The queue is reordered, never re-keyed, so
 // journals, resume, quarantine, and stitching work unchanged; a resumed

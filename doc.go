@@ -47,12 +47,16 @@
 // StitchReport) both reassemble reports byte-identical to an
 // uninterrupted single-process run. Goldens are memoized in a layered
 // repository — in-process LRU (GoldenCache) over a persistent
-// content-addressed disk store (internal/goldenstore) — and huge grids
-// run under the progressive scheduler (internal/sched, surfaced as
-// RunSuiteProgressive and `suite -progressive`): coverage first, then
+// content-addressed disk store (internal/goldenstore). Every suite runs
+// through one executor, RunSuiteProgressive, fed by the scheduler
+// (internal/sched). A plain suite (RunSuite) is the flat schedule: one
+// round of every scenario in suite order. Huge grids run under their
+// progressive layout (`suite -progressive`): coverage first, then
 // refinement around detection-boundary cells, with retired scenarios
-// reported as synthesized "skipped (...)" rows and every executed row
-// still byte-identical to the full run's.
+// reported as synthesized "skipped (...)" rows (SkipRows) and every
+// executed row still byte-identical to the full run's. A scenario's
+// verdict — what the scheduler steers by, and what reports and progress
+// lines print — comes from one rule, RowVerdict.
 //
 // See README.md for a tour of the commands and DESIGN.md for the
 // architecture, section by section.

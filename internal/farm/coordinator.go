@@ -32,14 +32,16 @@ type Config struct {
 	// Clock is the time source for lease expiry (nil = faults.Wall{});
 	// injectable so chaos runs control when leases die.
 	Clock faults.Clock
-	// Progressive, when non-nil, feeds the lease queue from the
-	// progressive scheduler instead of naive suite order: scenarios are
-	// dealt in rounds (coverage, then boundary-first refinement) and
-	// retired scenarios become journaled skip rows. The queue is
-	// reordered, never re-keyed, so journals, resume, quarantine, and
-	// stitching work unchanged — but a resumed sweep must be given the
-	// same Progressive settings it started with, or the re-derived
-	// schedule will not match the journal.
+	// Progressive, when non-nil, schedules the sweep under its grid
+	// layout: scenarios are dealt in rounds (coverage, then
+	// boundary-first refinement) and retired scenarios become journaled
+	// skip rows. Nil means the flat schedule — every scenario dealt in
+	// one round, in suite order, nothing skipped — run by the same
+	// scheduler-fed queue. The queue is reordered, never re-keyed, so
+	// journals, resume, quarantine, and stitching work unchanged — but a
+	// resumed sweep must be given the same Progressive settings it
+	// started with, or the re-derived schedule will not match the
+	// journal.
 	Progressive *Progressive
 }
 
@@ -103,10 +105,13 @@ type Coordinator struct {
 	accepted  int
 	compacted int
 
-	// Progressive state (all under mu; nil sched = naive order). The
-	// scheduler itself is single-threaded — accept, quarantine, and
-	// construction-time resume all advance it under mu.
+	// Schedule state (all under mu). The scheduler itself is
+	// single-threaded — accept, quarantine, and construction-time resume
+	// all advance it under mu. progressive is false under the flat
+	// schedule (Config.Progressive nil).
 	sched       *sched.Scheduler
+	progressive bool
+	bySuspect   map[string][]int
 	outstanding map[string]bool
 	schedErr    error
 
@@ -123,32 +128,35 @@ func NewCoordinator(suite *offramps.SuiteSpec, cfg Config) (*Coordinator, error)
 	if err != nil {
 		return nil, err
 	}
+	layout, schedCfg := &sched.Grid{Extras: suite.ScenarioNames()}, sched.Config{}
+	if p := cfg.Progressive; p != nil {
+		layout, schedCfg = p.Layout, p.Sched
+	}
+	if err := offramps.ValidateProgressive(suite, layout); err != nil {
+		return nil, err
+	}
+	s, err := sched.New(layout, schedCfg)
+	if err != nil {
+		return nil, err
+	}
 	c := &Coordinator{
-		Suite:     suite,
-		suiteJSON: suiteJSON,
-		queue:     NewQueue(suite.ScenarioNames(), cfg.ttl()),
-		scenarios: make(map[string]json.RawMessage),
-		compares:  make(map[string]json.RawMessage),
-		done:      make(chan struct{}),
+		Suite:       suite,
+		suiteJSON:   suiteJSON,
+		queue:       NewQueue(suite.ScenarioNames(), cfg.ttl()),
+		scenarios:   make(map[string]json.RawMessage),
+		compares:    make(map[string]json.RawMessage),
+		sched:       s,
+		progressive: cfg.Progressive != nil,
+		bySuspect:   suite.ComparesBySuspect(),
+		outstanding: make(map[string]bool),
+		done:        make(chan struct{}),
 	}
 	clock := cfg.clock()
 	c.queue.Now = clock.Now
 	c.queue.MaxStrikes = cfg.MaxStrikes
 	c.queue.OnQuarantine = c.onQuarantine
-	if cfg.Progressive != nil {
-		if err := offramps.ValidateProgressive(suite, cfg.Progressive.Layout); err != nil {
-			return nil, err
-		}
-		s, err := sched.New(cfg.Progressive.Layout, cfg.Progressive.Sched)
-		if err != nil {
-			return nil, err
-		}
-		c.sched = s
-		c.outstanding = make(map[string]bool)
-		// The naive-seeded queue is held; rounds are Released as the
-		// scheduler deals them.
-		c.queue.Hold()
-	}
+	// The queue is held; rounds are Released as the scheduler deals them.
+	c.queue.Hold()
 
 	if cfg.Journal != "" {
 		if f, err := os.Open(cfg.Journal); err == nil {
@@ -193,41 +201,53 @@ func NewCoordinator(suite *offramps.SuiteSpec, cfg Config) (*Coordinator, error)
 	// work lands in the queue.
 	c.mu.Lock()
 	c.advanceLocked()
+	c.settleLocked()
 	err = c.schedErr
 	c.mu.Unlock()
 	if err != nil {
 		c.Close()
 		return nil, fmt.Errorf("farm: progressive schedule: %w", err)
 	}
-	if c.queue.Done() {
-		c.doneOnce.Do(func() { close(c.done) })
-	}
 	return c, nil
 }
 
-// onQuarantine reacts to scenarios the queue parked: a progressive
-// sweep observes them as Errored so the schedule advances past them
-// (a completion later rescuing the scenario is still accepted and
-// journaled — only the scheduling signal was pessimistic), and any
-// coordinator checks for settlement.
+// onQuarantine reacts to scenarios the queue parked: the schedule
+// observes them as Errored so it advances past them (a completion later
+// rescuing the scenario is still accepted and journaled — only the
+// scheduling signal was pessimistic), then checks for settlement.
 func (c *Coordinator) onQuarantine() {
-	if c.sched != nil {
-		c.mu.Lock()
-		for _, q := range c.queue.Quarantined() {
-			if !c.outstanding[q.Scenario] {
-				continue
-			}
-			delete(c.outstanding, q.Scenario)
-			if err := c.sched.Observe(q.Scenario, sched.Errored); err != nil && c.schedErr == nil {
-				c.schedErr = err
-			}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, q := range c.queue.Quarantined() {
+		if !c.outstanding[q.Scenario] {
+			continue
 		}
-		if len(c.outstanding) == 0 {
-			c.advanceLocked()
+		delete(c.outstanding, q.Scenario)
+		if err := c.sched.Observe(q.Scenario, sched.Errored); err != nil && c.schedErr == nil {
+			c.schedErr = err
 		}
-		c.mu.Unlock()
 	}
-	if c.queue.Done() {
+	if len(c.outstanding) == 0 {
+		c.advanceLocked()
+	}
+	c.settleLocked()
+}
+
+// settleLocked closes Done once every scenario has a stored row or is
+// quarantined. It reads the coordinator's own rows, not the queue's
+// done set: the server marks a completion done in the queue before
+// accept stores its rows, so the queue can settle while another
+// completion's rows are still on their way. Callers hold c.mu.
+func (c *Coordinator) settleLocked() {
+	open := len(c.Suite.Scenarios) - len(c.scenarios)
+	if open > 0 {
+		for _, q := range c.queue.Quarantined() {
+			if _, stored := c.scenarios[q.Scenario]; !stored {
+				open--
+			}
+		}
+	}
+	if open == 0 {
 		c.doneOnce.Do(func() { close(c.done) })
 	}
 }
@@ -238,7 +258,7 @@ func (c *Coordinator) onQuarantine() {
 // decided retirements synthesize their skip rows on the spot. Callers
 // hold c.mu.
 func (c *Coordinator) advanceLocked() {
-	if c.sched == nil || c.schedErr != nil {
+	if c.schedErr != nil {
 		return
 	}
 	for len(c.outstanding) == 0 {
@@ -259,7 +279,7 @@ func (c *Coordinator) advanceLocked() {
 		var release []string
 		for _, name := range round {
 			if raw, ok := c.scenarios[name]; ok {
-				if err := c.sched.Observe(name, c.rowVerdictLocked(name, raw)); err != nil {
+				if err := c.sched.Observe(name, offramps.RowVerdict(offramps.ParseVerdictFacts(raw), c.firstCompareLocked(name))); err != nil {
 					c.schedErr = err
 					return
 				}
@@ -275,13 +295,11 @@ func (c *Coordinator) advanceLocked() {
 	}
 }
 
-// retireLocked synthesizes one retired scenario's rows: skip-error
-// comparisons for every comparison it was the suspect of (goldens are
-// extras by ValidateProgressive, so only the suspect side can be
-// skipped), then the skip scenario row — journaled in that order, the
-// same comparisons-before-row invariant accept keeps. Already-stored
-// rows (a resumed journal re-deriving the same retirement) are left
-// untouched. Callers hold c.mu.
+// retireLocked journals one retired scenario's rows, built by
+// SuiteSpec.SkipRows: its suspect-side comparisons first, then the skip
+// row — the same comparisons-before-row invariant accept keeps.
+// Already-stored rows (a resumed journal re-deriving the same
+// retirement) are left untouched. Callers hold c.mu.
 func (c *Coordinator) retireLocked(sk sched.Skip) error {
 	if _, ok := c.scenarios[sk.Name]; ok {
 		c.queue.MarkDone(sk.Name)
@@ -291,51 +309,36 @@ func (c *Coordinator) retireLocked(sk sched.Skip) error {
 	if !ok {
 		return fmt.Errorf("retired scenario %q is not in the suite", sk.Name)
 	}
+	row, cmpRows := c.Suite.SkipRows(sc, sk.Reason, c.bySuspect[sk.Name])
 	var buf bytes.Buffer
 	sink := offramps.NewJSONLSink(&buf)
 	sink.Label = c.Suite.Name
-	for _, cmp := range c.Suite.Compare {
-		if cmp.Suspect != sk.Name {
-			continue
-		}
-		key := offramps.CompareKey(cmp.Golden, cmp.GoldenTap, cmp.Suspect, cmp.SuspectTap)
-		if _, dup := c.compares[key]; dup {
-			continue
-		}
+	// record journals one encoded row and returns its report shape.
+	record := func(emit func() error) (*offramps.StreamRow, error) {
 		buf.Reset()
-		if err := sink.EmitCompare(offramps.CompareResult{
-			Golden:     cmp.Golden,
-			Suspect:    cmp.Suspect,
-			GoldenTap:  cmp.GoldenTap,
-			SuspectTap: cmp.SuspectTap,
-			Error:      offramps.SkipMessage(sk.Reason),
-		}); err != nil {
-			return err
+		if err := emit(); err != nil {
+			return nil, err
 		}
 		raw := json.RawMessage(bytes.TrimSpace(buf.Bytes()))
 		p, err := offramps.ParseStreamRow(raw)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		if err := c.journalRow(raw); err != nil {
+		return p, c.journalRow(raw)
+	}
+	for _, cr := range cmpRows {
+		key := offramps.CompareKey(cr.Golden, cr.GoldenTap, cr.Suspect, cr.SuspectTap)
+		if _, dup := c.compares[key]; dup {
+			continue
+		}
+		p, err := record(func() error { return sink.EmitCompare(cr) })
+		if err != nil {
 			return err
 		}
 		c.compares[key] = p.Report
 	}
-	buf.Reset()
-	if err := sink.Emit(offramps.ScenarioResult{
-		Name: sk.Name,
-		Seed: sc.EffectiveSeed(c.Suite.BaseSeed),
-		Err:  errors.New(offramps.SkipMessage(sk.Reason)),
-	}); err != nil {
-		return err
-	}
-	raw := json.RawMessage(bytes.TrimSpace(buf.Bytes()))
-	p, err := offramps.ParseStreamRow(raw)
+	p, err := record(func() error { return sink.Emit(row) })
 	if err != nil {
-		return err
-	}
-	if err := c.journalRow(raw); err != nil {
 		return err
 	}
 	if c.journal != nil {
@@ -347,67 +350,35 @@ func (c *Coordinator) retireLocked(sk sched.Skip) error {
 	c.queue.MarkDone(sk.Name)
 	if c.Progress != nil {
 		_, _, done, _, total := c.queue.Counts()
-		fmt.Fprintf(c.Progress, "[%d/%d] %s — %s\n", done, total, sk.Name, offramps.SkipMessage(sk.Reason))
+		fmt.Fprintf(c.Progress, "[%d/%d] %s — %s\n", done, total, sk.Name, row.Err)
 	}
 	return nil
 }
 
-// rowVerdictLocked derives the scheduler verdict from a stored
-// report-shaped scenario row — the raw-row twin of the root package's
-// in-memory rule: an error row is Errored; a live detection decides by
-// TrojanLikely; otherwise the scenario's first stored comparison (spec
-// order) decides; otherwise the result's own TrojanLikely flag;
-// otherwise Unknown. Callers hold c.mu.
-func (c *Coordinator) rowVerdictLocked(name string, raw json.RawMessage) sched.Verdict {
-	var head struct {
-		Err    string
-		Result *struct {
-			Detections   []json.RawMessage
-			TrojanLikely bool
-		}
+// firstCompareLocked reads the verdict facts of the scenario's first
+// comparison in spec order, nil when it is the suspect of none. Its row
+// is stored by then: a completion carries its comparisons, journaled
+// before the scenario row. Callers hold c.mu.
+func (c *Coordinator) firstCompareLocked(name string) *offramps.VerdictFacts {
+	ix := c.bySuspect[name]
+	if len(ix) == 0 {
+		return nil
 	}
-	if err := json.Unmarshal(raw, &head); err != nil || head.Err != "" || head.Result == nil {
-		return sched.Errored
+	cmp := c.Suite.Compare[ix[0]]
+	raw, ok := c.compares[offramps.CompareKey(cmp.Golden, cmp.GoldenTap, cmp.Suspect, cmp.SuspectTap)]
+	if !ok {
+		return nil
 	}
-	if len(head.Result.Detections) > 0 {
-		if head.Result.TrojanLikely {
-			return sched.Trojan
-		}
-		return sched.Clean
-	}
-	for _, cmp := range c.Suite.Compare {
-		if cmp.Suspect != name {
-			continue
-		}
-		key := offramps.CompareKey(cmp.Golden, cmp.GoldenTap, cmp.Suspect, cmp.SuspectTap)
-		craw, ok := c.compares[key]
-		if !ok {
-			continue
-		}
-		var chead struct {
-			Error  string                       `json:"error"`
-			Report *struct{ TrojanLikely bool } `json:"report"`
-		}
-		if err := json.Unmarshal(craw, &chead); err != nil || chead.Error != "" || chead.Report == nil {
-			return sched.Errored
-		}
-		if chead.Report.TrojanLikely {
-			return sched.Trojan
-		}
-		return sched.Clean
-	}
-	if head.Result.TrojanLikely {
-		return sched.Trojan
-	}
-	return sched.Unknown
+	f := offramps.ParseVerdictFacts(raw)
+	return &f
 }
 
 // SweepStats reports the progressive scheduler's statistics; ok is
-// false for a naive-order coordinator.
+// false under the flat schedule (Config.Progressive nil).
 func (c *Coordinator) SweepStats() (st offramps.SweepStats, ok bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.sched == nil {
+	if !c.progressive {
 		return offramps.SweepStats{}, false
 	}
 	return offramps.SweepStats{Stats: c.sched.Stats()}, true
@@ -428,7 +399,8 @@ func (c *Coordinator) Counts() (pending, leased, done, quarantined, total int) {
 // Quarantined snapshots the parked scenarios.
 func (c *Coordinator) Quarantined() []QuarantinedScenario { return c.queue.Quarantined() }
 
-// Done is closed once every scenario has completed or been quarantined.
+// Done is closed once every scenario's rows are stored or it has been
+// quarantined.
 func (c *Coordinator) Done() <-chan struct{} { return c.done }
 
 // Drain stops dealing leases (workers see "drain" and exit) while
@@ -499,9 +471,9 @@ func (c *Coordinator) accept(scenario string, compares []json.RawMessage, row js
 	}
 	c.scenarios[scenario] = parsed.Report
 	c.accepted++
-	if c.sched != nil && c.outstanding[scenario] {
+	if c.outstanding[scenario] {
 		delete(c.outstanding, scenario)
-		if err := c.sched.Observe(scenario, c.rowVerdictLocked(scenario, parsed.Report)); err != nil && c.schedErr == nil {
+		if err := c.sched.Observe(scenario, offramps.RowVerdict(offramps.ParseVerdictFacts(parsed.Report), c.firstCompareLocked(scenario))); err != nil && c.schedErr == nil {
 			c.schedErr = err
 		}
 		if len(c.outstanding) == 0 {
@@ -513,9 +485,7 @@ func (c *Coordinator) accept(scenario string, compares []json.RawMessage, row js
 		_, _, done, _, total := c.queue.Counts()
 		fmt.Fprintf(c.Progress, "[%d/%d] %s\n", done, total, scenario)
 	}
-	if c.queue.Done() {
-		c.doneOnce.Do(func() { close(c.done) })
-	}
+	c.settleLocked()
 	return nil
 }
 

@@ -21,10 +21,11 @@
 // append-only with torn-tail-tolerant resume and atomic compaction
 // (DESIGN.md §10–§11).
 //
-// With Config.Progressive set, the coordinator feeds its lease queue
-// from the progressive scheduler (internal/sched) instead of naive
-// suite order: scenarios are dealt in rounds — one seed per grid cell
-// first, then refinement around detection-boundary cells — and
+// The coordinator always feeds its lease queue from the scheduler
+// (internal/sched). With Config.Progressive nil that is the flat
+// schedule: one round of every scenario in suite order. With it set,
+// scenarios are dealt in rounds — one seed per grid cell first, then
+// refinement around detection-boundary cells — and
 // scenarios the scheduler retires are journaled as synthesized
 // "skipped (...)" rows. The queue is reordered, never re-keyed, so
 // leases, journals, resume, quarantine, and stitching all work

@@ -333,3 +333,62 @@ func TestFarmDuplicateCompletion(t *testing.T) {
 		}
 	}
 }
+
+// TestFarmDoneWaitsForStoredRows: the server marks a completion done in
+// the queue before accept stores its rows, so two completions finishing
+// together can leave the queue settled while one's rows are still on
+// their way. Done must stay open until every row is stored, or a
+// Report straight after Done fails with a coverage gap.
+func TestFarmDoneWaitsForStoredRows(t *testing.T) {
+	spec := &offramps.SuiteSpec{Name: "pair", BaseSeed: 1, Scenarios: []offramps.ScenarioSpec{{Name: "a"}, {Name: "b"}}}
+	co, err := NewCoordinator(spec, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer co.Close()
+	row := func(name string) json.RawMessage {
+		var buf bytes.Buffer
+		sink := offramps.NewJSONLSink(&buf)
+		sink.Label = spec.Name
+		sc, _ := spec.FindScenario(name)
+		if err := sink.Emit(offramps.ScenarioResult{Name: name, Seed: sc.EffectiveSeed(spec.BaseSeed), Result: &offramps.Result{}}); err != nil {
+			t.Fatal(err)
+		}
+		return bytes.TrimSpace(buf.Bytes())
+	}
+	done := func() bool {
+		select {
+		case <-co.Done():
+			return true
+		default:
+			return false
+		}
+	}
+
+	la, lb := co.queue.Lease("w1"), co.queue.Lease("w2")
+	if la.Scenario != "a" || lb.Scenario != "b" {
+		t.Fatalf("leased %q and %q, want a and b", la.Scenario, lb.Scenario)
+	}
+	// b completes in the queue; its rows are not stored yet.
+	if st := co.queue.Complete(lb.Token, "b"); st != CompleteAccepted {
+		t.Fatalf("complete b = %q", st)
+	}
+	if st := co.queue.Complete(la.Token, "a"); st != CompleteAccepted {
+		t.Fatalf("complete a = %q", st)
+	}
+	if err := co.accept("a", nil, row("a")); err != nil {
+		t.Fatal(err)
+	}
+	if done() {
+		t.Fatal("Done closed while b's rows were still missing")
+	}
+	if err := co.accept("b", nil, row("b")); err != nil {
+		t.Fatal(err)
+	}
+	if !done() {
+		t.Fatal("Done still open with every row stored")
+	}
+	if _, err := co.Report(); err != nil {
+		t.Fatalf("Report after Done: %v", err)
+	}
+}

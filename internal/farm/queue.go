@@ -276,8 +276,8 @@ func (q *Queue) failLocked(token, scenario, reason string) string {
 }
 
 // Hold clears the pending queue without touching leases, completions,
-// or quarantine. A progressive coordinator holds the naive-seeded queue
-// at construction and then Releases one scheduler round at a time: with
+// or quarantine. The coordinator holds the suite-order-seeded queue at
+// construction and then Releases one scheduler round at a time: with
 // nothing pending and the sweep not settled, Lease answers StatusWait —
 // the natural barrier workers already poll at between rounds.
 func (q *Queue) Hold() {
@@ -287,11 +287,12 @@ func (q *Queue) Hold() {
 }
 
 // Release appends scenarios to the back of the pending queue, in the
-// given order — how a progressive coordinator deals a round. Names that
+// given order — how the coordinator deals a round. Names that
 // are unknown, done, quarantined, leased, or already pending are
 // skipped, so releasing is idempotent and can never duplicate work.
 // The names are appended, never re-keyed: leases, completion, journal
-// rows, and resume all see the same scenario names as a naive sweep.
+// rows, and resume all see the same scenario names whatever the
+// schedule.
 func (q *Queue) Release(names ...string) {
 	q.mu.Lock()
 	defer q.mu.Unlock()

@@ -1,11 +1,15 @@
 // Package sched is the progressive sweep scheduler: a prioritizing,
 // budget-aware feeder that decides *which* scenarios of a grid sweep run
 // and in what order, without knowing anything about how they run. It
-// sits in front of Campaign.Run (offramps.RunSuiteProgressive) and the
-// farm coordinator's lease queue (internal/farm with
-// Config.Progressive), borrowing the progressive paradigm of the
-// entity-resolution literature — spend a fixed comparison budget where
-// it flips decisions — for grid sweeps whose expensive unit is a
+// sits in front of every suite execution: Campaign.Run (through
+// offramps.RunSuiteProgressive, the one suite executor) and the farm
+// coordinator's lease queue (internal/farm). A plain suite is the flat
+// schedule — a Grid of extras only, dealt in one round in order — so
+// the same loop runs it. Verdicts fed back come from the root package's
+// one rule, offramps.RowVerdict. The design borrows the progressive
+// paradigm of the entity-resolution literature — spend a fixed
+// comparison budget where it flips decisions — for grid sweeps whose
+// expensive unit is a
 // simulated print.
 //
 // The input is an abstract Grid: cells addressed by integer coordinates

@@ -136,10 +136,12 @@ type Scheduler struct {
 	total       int
 }
 
-// New validates the grid and builds a scheduler over it.
+// New validates the grid and builds a scheduler over it. A grid of
+// extras alone is the flat schedule: round 1 deals every extra in order
+// and round 2 is empty.
 func New(g *Grid, cfg Config) (*Scheduler, error) {
-	if g == nil || len(g.Cells) == 0 {
-		return nil, fmt.Errorf("sched: grid has no cells")
+	if g == nil || len(g.Cells)+len(g.Extras) == 0 {
+		return nil, fmt.Errorf("sched: grid has no scenarios")
 	}
 	seen := make(map[string]bool)
 	byCoord := make(map[string]int, len(g.Cells))

@@ -317,3 +317,28 @@ func TestMisuseErrors(t *testing.T) {
 		t.Fatal("double observe should error")
 	}
 }
+
+// TestFlatSchedule: a grid of extras alone — how a plain suite runs —
+// deals every extra in one round, in order, and then is done, whatever
+// the budget or early-stop settings.
+func TestFlatSchedule(t *testing.T) {
+	extras := []string{"golden", "b", "a"}
+	s, err := New(&Grid{Extras: extras}, Config{Budget: 1, EarlyStopK: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	round := mustRound(t, s)
+	if !reflect.DeepEqual(round, extras) {
+		t.Fatalf("round 1 = %v, want %v", round, extras)
+	}
+	observeAll(t, s, round, func(string) Verdict { return Trojan })
+	if round := mustRound(t, s); len(round) != 0 {
+		t.Fatalf("round 2 = %v, want empty", round)
+	}
+	if !s.Done() || len(s.Skips()) != 0 {
+		t.Errorf("done = %v, skips = %v; want done with no skips", s.Done(), s.Skips())
+	}
+	if st := s.Stats(); st.Executed != 3 || st.Total != 3 || st.Cells != 0 || st.Rounds != 1 {
+		t.Errorf("stats = %+v", st)
+	}
+}

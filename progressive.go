@@ -2,6 +2,7 @@ package offramps
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"strings"
@@ -10,16 +11,19 @@ import (
 	"offramps/internal/sched"
 )
 
-// This file runs a grid suite progressively: internal/sched decides
-// which scenarios run (coverage first, refinement around detection
-// boundaries, early stop for unanimous cells) and RunSuiteProgressive
+// This file holds the one suite executor and the one verdict rule.
+// Every suite runs through internal/sched, which decides which
+// scenarios run (coverage first, refinement around detection
+// boundaries, early stop for unanimous cells); RunSuiteProgressive
 // executes each round as an ordinary campaign batch, feeding verdicts
-// back. Scenarios the scheduler retires become synthesized skip rows —
-// ScenarioResult errors with the canonical "skipped (...)" text — so
-// the report, the JSONL streams, and StitchReport stay complete. Every
-// executed scenario's row is byte-identical to the full run's row for
-// the same name: execution inputs are per-scenario and never depend on
-// which other scenarios ran.
+// back. A plain suite (RunSuite) is the flat schedule: a grid of extras
+// only, all dealt in round 1 in suite order. Scenarios the scheduler
+// retires become synthesized skip rows — ScenarioResult errors with the
+// canonical "skipped (...)" text — so the report, the JSONL streams,
+// and StitchReport stay complete. Every executed scenario's row is
+// byte-identical to the full run's row for the same name: execution
+// inputs are per-scenario and never depend on which other scenarios
+// ran.
 
 // skippedResultPrefix marks a synthesized skip row's error text. The
 // prefix — not a sentinel error type — is the contract, because skip
@@ -71,60 +75,137 @@ func ValidateProgressive(suite *SuiteSpec, layout *sched.Grid) error {
 	return nil
 }
 
-// progressiveVerdict derives the scheduler verdict for one executed
-// scenario. The rule — and the farm coordinator's raw-row twin
-// (internal/farm) — is: an error is Errored; a live detection decides
-// by TrojanLikely; otherwise the scenario's first comparison whose
-// golden has executed decides (memoized in cache so the final report
-// reuses the same CompareResult); otherwise the result's own
-// TrojanLikely flag; otherwise Unknown.
-func progressiveVerdict(name string, suite *SuiteSpec, results map[string]ScenarioResult, cache map[string]CompareResult) sched.Verdict {
-	res, ok := results[name]
-	if !ok || res.Err != nil || res.Result == nil {
-		return sched.Errored
-	}
-	if len(res.Result.Detections) > 0 {
-		if res.Result.TrojanLikely {
-			return sched.Trojan
-		}
-		return sched.Clean
-	}
-	for _, cmp := range suite.Compare {
-		if cmp.Suspect != name {
-			continue
-		}
-		if _, ran := results[cmp.Golden]; !ran {
-			continue
-		}
-		key := CompareKey(cmp.Golden, cmp.GoldenTap, cmp.Suspect, cmp.SuspectTap)
-		cr, ok := cache[key]
-		if !ok {
-			cr = runCompare(cmp, results)
-			cache[key] = cr
-		}
-		if cr.Err != nil {
-			return sched.Errored
-		}
-		if cr.Report.TrojanLikely {
-			return sched.Trojan
-		}
-		return sched.Clean
-	}
-	if res.Result.TrojanLikely {
-		return sched.Trojan
-	}
-	return sched.Unknown
+// VerdictFacts are the fields of one row that RowVerdict reads, from a
+// scenario row or a comparison row (Detected is always false on a
+// comparison row).
+type VerdictFacts struct {
+	// Failed marks a row with an error or without a result (report).
+	Failed bool
+	// Detected marks a scenario whose live detectors recorded reports.
+	Detected bool
+	// TrojanLikely is the row's own flag.
+	TrojanLikely bool
 }
 
-// RunSuiteProgressive executes a grid suite under the progressive
-// scheduler: rounds of scenarios chosen by sched run as ordinary
-// campaign batches (each batch internally wave-ordered for golden
-// references, exactly like RunSuite), detector verdicts feed back, and
-// retired scenarios become synthesized skip rows in the report and the
-// sinks. With an unlimited budget and no early stop the executed set is
-// the whole suite and the report is byte-identical to RunSuite's. The
-// receiver's Workers/Budget act as defaults; the suite's own values win
-// when set.
+// ParseVerdictFacts reads the verdict facts from a report-shaped row: a
+// scenario row (ScenarioResult's JSON) or a comparison row
+// (CompareResult's JSON). The two shapes share no keys the decode below
+// reads, so one decode serves both. An unreadable row reads as failed.
+func ParseVerdictFacts(raw json.RawMessage) VerdictFacts {
+	type body struct {
+		Detections   []struct{}
+		TrojanLikely bool
+	}
+	var row struct {
+		Err    string // scenario row
+		Error  string `json:"error"` // comparison row
+		Result *body  // scenario row
+		Report *body  `json:"report"` // comparison row
+	}
+	if err := json.Unmarshal(raw, &row); err != nil || row.Err != "" || row.Error != "" {
+		return VerdictFacts{Failed: true}
+	}
+	b := row.Result
+	if b == nil {
+		b = row.Report
+	}
+	if b == nil {
+		return VerdictFacts{Failed: true}
+	}
+	return VerdictFacts{Detected: len(b.Detections) > 0, TrojanLikely: b.TrojanLikely}
+}
+
+func (r ScenarioResult) verdictFacts() VerdictFacts {
+	if r.Err != nil || r.Result == nil {
+		return VerdictFacts{Failed: true}
+	}
+	return VerdictFacts{Detected: len(r.Result.Detections) > 0, TrojanLikely: r.Result.TrojanLikely}
+}
+
+func (c CompareResult) verdictFacts() VerdictFacts {
+	if c.Err != nil || c.Error != "" || c.Report == nil {
+		return VerdictFacts{Failed: true}
+	}
+	return VerdictFacts{TrojanLikely: c.Report.TrojanLikely}
+}
+
+// RowVerdict is the one verdict rule. It decides a scenario's verdict
+// from its row and, when the scenario is the suspect of any comparison,
+// its first comparison in spec order (first; nil when there is none):
+//
+//   - a row with an error (or no result) is Errored;
+//   - live detections decide by the row's TrojanLikely flag;
+//   - otherwise the first comparison decides: Errored if it failed,
+//     else by its report's TrojanLikely flag;
+//   - otherwise the row's own TrojanLikely flag makes it Trojan;
+//   - otherwise the verdict is Unknown.
+//
+// The local executor's scheduler feed, the farm coordinator, and the
+// per-scenario verdict of reports and progress lines (TROJAN LIKELY /
+// clean / -, decided with no comparison) all call it.
+func RowVerdict(row VerdictFacts, first *VerdictFacts) sched.Verdict {
+	if row.Failed {
+		return sched.Errored
+	}
+	if !row.Detected && first != nil {
+		if first.Failed {
+			return sched.Errored
+		}
+		row = *first
+	} else if !row.Detected && !row.TrojanLikely {
+		return sched.Unknown
+	}
+	if row.TrojanLikely {
+		return sched.Trojan
+	}
+	return sched.Clean
+}
+
+// ComparesBySuspect indexes the suite's comparisons by suspect: each
+// scenario maps to the indices into Compare of the comparisons it is the
+// suspect of, in spec order. Build it once per run: RowVerdict reads a
+// scenario's first comparison, and SkipRows covers all of them.
+func (s *SuiteSpec) ComparesBySuspect() map[string][]int {
+	out := make(map[string][]int)
+	for i, cmp := range s.Compare {
+		out[cmp.Suspect] = append(out[cmp.Suspect], i)
+	}
+	return out
+}
+
+// SkipRows builds the rows of a scenario the scheduler retired: its skip
+// row and one skip-error row for each comparison in cmps (indices into
+// Compare of the comparisons it is the suspect of). Goldens are extras,
+// which are never retired, so only a comparison's suspect side can be
+// skipped. Every row carries the canonical SkipMessage text.
+func (s *SuiteSpec) SkipRows(sc ScenarioSpec, reason string, cmps []int) (ScenarioResult, []CompareResult) {
+	msg := SkipMessage(reason)
+	row := ScenarioResult{Name: sc.Name, Seed: sc.EffectiveSeed(s.BaseSeed), Err: errors.New(msg)}
+	rows := make([]CompareResult, len(cmps))
+	for i, ix := range cmps {
+		cmp := s.Compare[ix]
+		rows[i] = CompareResult{
+			Golden:     cmp.Golden,
+			Suspect:    cmp.Suspect,
+			GoldenTap:  cmp.GoldenTap,
+			SuspectTap: cmp.SuspectTap,
+			Err:        row.Err,
+			Error:      msg,
+		}
+	}
+	return row, rows
+}
+
+// RunSuiteProgressive is the one suite executor. Rounds of scenarios
+// chosen by sched run as ordinary campaign batches, each wave-ordered so
+// golden references (at any chain depth) run before the scenarios that
+// use them; verdicts feed back; retired scenarios become synthesized
+// skip rows in the report and the sinks. Afterwards the Compare entries
+// replay captures through registry-built detectors. Results keep spec
+// order. With an unlimited budget and no early stop the executed set is
+// the whole suite and the report is byte-identical to RunSuite's, which
+// is this executor under the flat schedule. The receiver's
+// Workers/Budget act as defaults; the suite's own values win when set.
 func (c Campaign) RunSuiteProgressive(runCtx context.Context, suite *SuiteSpec, layout *sched.Grid, cfg sched.Config) (*SuiteReport, SweepStats, error) {
 	if err := suite.Validate(); err != nil {
 		return nil, SweepStats{}, err
@@ -147,16 +228,40 @@ func (c Campaign) RunSuiteProgressive(runCtx context.Context, suite *SuiteSpec, 
 	for _, sc := range suite.Scenarios {
 		specs[sc.Name] = sc
 	}
+	bySuspect := suite.ComparesBySuspect()
 
 	recordings := make(map[string]*capture.Recording)
 	results := make(map[string]ScenarioResult, len(suite.Scenarios))
-	compares := make(map[string]CompareResult)
 	ctx := SpecContext{
 		BaseSeed: suite.BaseSeed,
 		Dir:      suite.dir,
 		Goldens:  func(name string) *capture.Recording { return recordings[name] },
 	}
 
+	// Comparisons run once, memoized by spec index: a scenario's first
+	// comparison as soon as its verdict is needed, the rest for the
+	// report. Goldens are extras, so they ran in round 1.
+	compares := make([]*CompareResult, len(suite.Compare))
+	compare := func(i int) *CompareResult {
+		if compares[i] == nil {
+			cr := runCompare(suite.Compare[i], results)
+			compares[i] = &cr
+		}
+		return compares[i]
+	}
+	verdict := func(name string) sched.Verdict {
+		var first *VerdictFacts
+		if ix := bySuspect[name]; len(ix) > 0 {
+			f := compare(ix[0]).verdictFacts()
+			first = &f
+		}
+		return RowVerdict(results[name].verdictFacts(), first)
+	}
+
+	// A sink failure does not stop the suite: a wave's results are
+	// complete (Run surfaces sink errors only after every scenario
+	// finished), so later waves and the comparisons still run; the first
+	// sink error is returned at the end with the full report.
 	var sinkFailure error
 	noteSink := func(err error) {
 		if sinkFailure == nil && err != nil {
@@ -188,12 +293,11 @@ func (c Campaign) RunSuiteProgressive(runCtx context.Context, suite *SuiteSpec, 
 		if !ok {
 			return
 		}
-		row := ScenarioResult{
-			Name: sk.Name,
-			Seed: sc.EffectiveSeed(suite.BaseSeed),
-			Err:  errors.New(SkipMessage(sk.Reason)),
-		}
+		row, cmpRows := suite.SkipRows(sc, sk.Reason, bySuspect[sk.Name])
 		results[sk.Name] = row
+		for i, ix := range bySuspect[sk.Name] {
+			compares[ix] = &cmpRows[i]
+		}
 		for _, s := range c.Sinks {
 			if err := s.Emit(row); err != nil {
 				noteSink(&SinkError{Err: err})
@@ -201,8 +305,10 @@ func (c Campaign) RunSuiteProgressive(runCtx context.Context, suite *SuiteSpec, 
 		}
 	}
 
+	// finish assembles the results in spec order — partial when err
+	// stopped the run early — and returns the report with err.
 	report := &SuiteReport{Suite: suite.Name, BaseSeed: suite.BaseSeed}
-	assemble := func() {
+	finish := func(err error) (*SuiteReport, SweepStats, error) {
 		report.Results = make([]ScenarioResult, 0, len(suite.Scenarios))
 		for _, sc := range suite.Scenarios {
 			r, ok := results[sc.Name]
@@ -211,14 +317,13 @@ func (c Campaign) RunSuiteProgressive(runCtx context.Context, suite *SuiteSpec, 
 			}
 			report.Results = append(report.Results, r)
 		}
+		return report, SweepStats{Stats: sch.Stats()}, err
 	}
-	stats := func() SweepStats { return SweepStats{Stats: sch.Stats()} }
 
 	for {
 		round, err := sch.NextRound()
 		if err != nil {
-			assemble()
-			return report, stats(), fmt.Errorf("offramps: suite %q: %w", suite.Name, err)
+			return finish(fmt.Errorf("offramps: suite %q: %w", suite.Name, err))
 		}
 		// Retirements decided while dealing this round (early stop,
 		// budget exhaustion) synthesize immediately, so streams carry
@@ -230,19 +335,14 @@ func (c Campaign) RunSuiteProgressive(runCtx context.Context, suite *SuiteSpec, 
 			break
 		}
 
-		batch := make([]ScenarioSpec, 0, len(round))
+		remaining := make([]ScenarioSpec, 0, len(round))
 		for _, name := range round {
 			sc, ok := specs[name]
 			if !ok {
-				assemble()
-				return report, stats(), fmt.Errorf("offramps: suite %q: layout names scenario %q the suite does not have", suite.Name, name)
+				return finish(fmt.Errorf("offramps: suite %q: layout names scenario %q the suite does not have", suite.Name, name))
 			}
-			batch = append(batch, sc)
+			remaining = append(remaining, sc)
 		}
-		// Wave-order the batch for golden references, mirroring RunSuite:
-		// extras referenced as goldens run in this same round (round 1)
-		// or already ran in an earlier one.
-		remaining := batch
 		for len(remaining) > 0 {
 			var wave, deferred []ScenarioSpec
 			for _, sc := range remaining {
@@ -257,34 +357,23 @@ func (c Campaign) RunSuiteProgressive(runCtx context.Context, suite *SuiteSpec, 
 				}
 			}
 			if len(wave) == 0 {
-				assemble()
-				return report, stats(), fmt.Errorf("offramps: suite %q: unresolvable golden references", suite.Name)
+				// Unreachable after Validate's cycle check; guard anyway so
+				// a future bug cannot loop forever.
+				return finish(fmt.Errorf("offramps: suite %q: unresolvable golden references", suite.Name))
 			}
 			if err := runWave(wave); err != nil {
-				assemble()
-				return report, stats(), err
+				return finish(err)
 			}
 			remaining = deferred
 		}
 		for _, name := range round {
-			if err := sch.Observe(name, progressiveVerdict(name, suite, results, compares)); err != nil {
-				assemble()
-				return report, stats(), fmt.Errorf("offramps: suite %q: %w", suite.Name, err)
+			if err := sch.Observe(name, verdict(name)); err != nil {
+				return finish(fmt.Errorf("offramps: suite %q: %w", suite.Name, err))
 			}
 		}
 	}
-	assemble()
-
-	// Comparisons computed eagerly for verdicts are reused verbatim; the
-	// rest (including any against skip rows, whose pick() naturally
-	// yields the skip text) compute here against the final results.
-	for _, cmp := range suite.Compare {
-		key := CompareKey(cmp.Golden, cmp.GoldenTap, cmp.Suspect, cmp.SuspectTap)
-		cr, ok := compares[key]
-		if !ok {
-			cr = runCompare(cmp, results)
-		}
-		report.Comparisons = append(report.Comparisons, cr)
+	for i := range suite.Compare {
+		report.Comparisons = append(report.Comparisons, *compare(i))
 	}
-	return report, stats(), sinkFailure
+	return finish(sinkFailure)
 }

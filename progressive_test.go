@@ -64,9 +64,16 @@ func TestProgressiveSweep(t *testing.T) {
 	cache := NewGoldenCache()
 
 	fullSuite, layout := loadSweepLayout(t)
-	full, err := Campaign{Cache: cache}.RunSuite(ctx, fullSuite)
+	var stream bytes.Buffer
+	jsonl := NewJSONLSink(&stream)
+	full, err := Campaign{Cache: cache, Sinks: []ResultSink{jsonl}}.RunSuite(ctx, fullSuite)
 	if err != nil {
 		t.Fatal(err)
+	}
+	for _, cmp := range full.Comparisons {
+		if err := jsonl.EmitCompare(cmp); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := firstScenarioErr(full.Results); err != nil {
 		t.Fatal(err)
@@ -80,10 +87,10 @@ func TestProgressiveSweep(t *testing.T) {
 	// The reference boundary set, derived from the full run: a cell is
 	// on a detection boundary when its first seed's verdict differs from
 	// an axis-neighbour's.
+	typed := reportVerdicts(fullSuite, full)
 	fullVerdicts := make([]sched.Verdict, len(layout.Cells))
-	cmpCache := make(map[string]CompareResult)
 	for i, c := range layout.Cells {
-		fullVerdicts[i] = progressiveVerdict(c.Seeds[0], fullSuite, fullRows, cmpCache)
+		fullVerdicts[i] = typed[c.Seeds[0]]
 	}
 	boundary := make(map[string]bool)
 	for i, a := range layout.Cells {
@@ -96,6 +103,15 @@ func TestProgressiveSweep(t *testing.T) {
 	if len(boundary) == 0 {
 		t.Fatal("the sweep grid has no detection boundary; the refinement test would be vacuous")
 	}
+
+	t.Run("stream verdicts match typed verdicts", func(t *testing.T) {
+		streamed := streamVerdicts(t, fullSuite, stream.Bytes())
+		for name, want := range typed {
+			if got := streamed[name]; got != want {
+				t.Errorf("%s: verdict from the JSONL stream = %v, from the typed result = %v", name, got, want)
+			}
+		}
+	})
 
 	t.Run("full budget matches RunSuite", func(t *testing.T) {
 		suite, lay := loadSweepLayout(t)
@@ -238,4 +254,49 @@ func TestValidateProgressiveRejectsCellGoldens(t *testing.T) {
 	if err := ValidateProgressive(suite, layout); err != nil {
 		t.Errorf("golden listed as an extra was rejected: %v", err)
 	}
+}
+
+// reportVerdicts decides every scenario's verdict from a typed report:
+// RowVerdict over the row and its first comparison in spec order.
+func reportVerdicts(suite *SuiteSpec, rep *SuiteReport) map[string]sched.Verdict {
+	bySuspect := suite.ComparesBySuspect()
+	out := make(map[string]sched.Verdict, len(rep.Results))
+	for _, r := range rep.Results {
+		var first *VerdictFacts
+		if ix := bySuspect[r.Name]; len(ix) > 0 {
+			f := rep.Comparisons[ix[0]].verdictFacts()
+			first = &f
+		}
+		out[r.Name] = RowVerdict(r.verdictFacts(), first)
+	}
+	return out
+}
+
+// streamVerdicts decides every scenario's verdict from a JSONL stream,
+// the way the farm coordinator does from its stored rows.
+func streamVerdicts(t *testing.T, suite *SuiteSpec, stream []byte) map[string]sched.Verdict {
+	t.Helper()
+	ix, err := ReadResumeIndex(bytes.NewReader(stream), "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ix.Torn || ix.Dups > 0 {
+		t.Fatalf("stream is torn (%v) or has %d duplicate rows", ix.Torn, ix.Dups)
+	}
+	bySuspect := suite.ComparesBySuspect()
+	out := make(map[string]sched.Verdict, len(ix.Scenarios))
+	for name, raw := range ix.Scenarios {
+		var first *VerdictFacts
+		if cmps := bySuspect[name]; len(cmps) > 0 {
+			cmp := suite.Compare[cmps[0]]
+			craw, ok := ix.Compares[CompareKey(cmp.Golden, cmp.GoldenTap, cmp.Suspect, cmp.SuspectTap)]
+			if !ok {
+				t.Fatalf("stream lacks the first comparison of %s", name)
+			}
+			f := ParseVerdictFacts(craw)
+			first = &f
+		}
+		out[name] = RowVerdict(ParseVerdictFacts(raw), first)
+	}
+	return out
 }

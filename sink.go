@@ -9,13 +9,15 @@ import (
 	"os"
 	"strconv"
 	"strings"
+
+	"offramps/internal/sched"
 )
 
 // SinkError wraps the first result-sink failure of a campaign. It is a
 // distinct type so callers can tell "the sweep ran, a sink could not
 // keep up" (results are complete and reportable) from a run failure:
-// Campaign.Run returns it only after every scenario finished, and
-// RunSuite keeps executing later waves and comparisons before
+// Campaign.Run returns it only after every scenario finished, and the
+// suite executor keeps executing later waves and comparisons before
 // surfacing it with the full report.
 type SinkError struct{ Err error }
 
@@ -44,13 +46,13 @@ func scenarioVerdict(r ScenarioResult) string {
 	if r.Result == nil {
 		return "not run"
 	}
-	// Decide the detector-free case first: "-" means no detector looked,
-	// which must never mask a TrojanLikely flag set some other way.
+	// RowVerdict with no comparison: "-" means no detector looked, which
+	// never masks a TrojanLikely flag set some other way.
 	verdict := "-"
-	switch {
-	case r.Result.TrojanLikely:
+	switch RowVerdict(r.verdictFacts(), nil) {
+	case sched.Trojan:
 		verdict = "TROJAN LIKELY"
-	case len(r.Result.Detections) > 0:
+	case sched.Clean:
 		verdict = "clean"
 	}
 	if r.Result.Aborted {

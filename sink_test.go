@@ -1,6 +1,7 @@
 package offramps
 
 import (
+	"bytes"
 	"context"
 	"encoding/csv"
 	"encoding/json"
@@ -10,6 +11,7 @@ import (
 	"testing"
 
 	"offramps/internal/detect"
+	"offramps/internal/sched"
 )
 
 // sinkScenarios builds a small campaign input: three clean prints on
@@ -386,31 +388,74 @@ func TestProgressSinkCacheStats(t *testing.T) {
 	}
 }
 
-// TestScenarioVerdict tables every verdict state. The detector-free
-// placeholder ("-") applies only when nothing flagged the run: a
-// TrojanLikely result must surface TROJAN LIKELY even with an empty
-// Detections slice (e.g. a result narrowed or synthesized elsewhere).
+// TestScenarioVerdict tables every verdict state of the one rule,
+// RowVerdict, and the report/progress string derived from it. The
+// detector-free placeholder ("-") applies only when nothing flagged the
+// run: a TrojanLikely result must surface TROJAN LIKELY even with an
+// empty Detections slice (e.g. a result narrowed or synthesized
+// elsewhere). cmps are the scenario's comparisons as suspect, in spec
+// order; the string ignores them, the verdict reads the first. Every
+// case runs through the typed path and through the JSONL round trip
+// (JSONLSink → ParseStreamRow), which must agree.
 func TestScenarioVerdict(t *testing.T) {
 	flagged := []*detect.Report{{TrojanLikely: true}}
 	quiet := []*detect.Report{{}}
+	cmpClean := CompareResult{Report: &detect.Report{}}
+	cmpTrojan := CompareResult{Report: &detect.Report{TrojanLikely: true}}
+	cmpErr := CompareResult{Err: errors.New("no capture"), Error: "no capture"}
 	cases := []struct {
-		name string
-		r    ScenarioResult
-		want string
+		name    string
+		r       ScenarioResult
+		cmps    []CompareResult
+		want    string
+		verdict sched.Verdict
 	}{
-		{"error", ScenarioResult{Err: errors.New("boom")}, "error: boom"},
-		{"not-run", ScenarioResult{}, "not run"},
-		{"no-detector", ScenarioResult{Result: &Result{}}, "-"},
-		{"clean", ScenarioResult{Result: &Result{Detections: quiet}}, "clean"},
-		{"trojan", ScenarioResult{Result: &Result{Detections: flagged, TrojanLikely: true}}, "TROJAN LIKELY"},
-		{"trojan-empty-reports", ScenarioResult{Result: &Result{TrojanLikely: true}}, "TROJAN LIKELY"},
-		{"aborted-no-detector", ScenarioResult{Result: &Result{Aborted: true}}, "- (aborted)"},
-		{"aborted-clean", ScenarioResult{Result: &Result{Detections: quiet, Aborted: true}}, "clean (aborted)"},
-		{"aborted-trojan", ScenarioResult{Result: &Result{Detections: flagged, TrojanLikely: true, Aborted: true}}, "TROJAN LIKELY (aborted)"},
+		{"error", ScenarioResult{Err: errors.New("boom")}, nil, "error: boom", sched.Errored},
+		{"error-beats-comparison", ScenarioResult{Err: errors.New("boom")}, []CompareResult{cmpClean}, "error: boom", sched.Errored},
+		{"not-run", ScenarioResult{}, nil, "not run", sched.Errored},
+		{"no-detector", ScenarioResult{Result: &Result{}}, nil, "-", sched.Unknown},
+		{"clean", ScenarioResult{Result: &Result{Detections: quiet}}, nil, "clean", sched.Clean},
+		{"trojan", ScenarioResult{Result: &Result{Detections: flagged, TrojanLikely: true}}, nil, "TROJAN LIKELY", sched.Trojan},
+		{"trojan-empty-reports", ScenarioResult{Result: &Result{TrojanLikely: true}}, nil, "TROJAN LIKELY", sched.Trojan},
+		{"aborted-no-detector", ScenarioResult{Result: &Result{Aborted: true}}, nil, "- (aborted)", sched.Unknown},
+		{"aborted-clean", ScenarioResult{Result: &Result{Detections: quiet, Aborted: true}}, nil, "clean (aborted)", sched.Clean},
+		{"aborted-trojan", ScenarioResult{Result: &Result{Detections: flagged, TrojanLikely: true, Aborted: true}}, nil, "TROJAN LIKELY (aborted)", sched.Trojan},
+		{"detections-beat-comparison", ScenarioResult{Result: &Result{Detections: quiet}}, []CompareResult{cmpTrojan}, "clean", sched.Clean},
+		{"flagged-detections-beat-comparison", ScenarioResult{Result: &Result{Detections: flagged, TrojanLikely: true}}, []CompareResult{cmpClean}, "TROJAN LIKELY", sched.Trojan},
+		{"comparison-trojan", ScenarioResult{Result: &Result{}}, []CompareResult{cmpTrojan}, "-", sched.Trojan},
+		{"comparison-clean", ScenarioResult{Result: &Result{}}, []CompareResult{cmpClean}, "-", sched.Clean},
+		{"comparison-beats-flag", ScenarioResult{Result: &Result{TrojanLikely: true}}, []CompareResult{cmpClean}, "TROJAN LIKELY", sched.Clean},
+		{"first-comparison-errored", ScenarioResult{Result: &Result{}}, []CompareResult{cmpErr, cmpTrojan}, "-", sched.Errored},
+		{"second-comparison-ignored", ScenarioResult{Result: &Result{}}, []CompareResult{cmpClean, cmpTrojan}, "-", sched.Clean},
+		{"aborted-comparison-trojan", ScenarioResult{Result: &Result{Aborted: true}}, []CompareResult{cmpTrojan}, "- (aborted)", sched.Trojan},
 	}
 	for _, c := range cases {
+		c.r.Name = c.name
 		if got := scenarioVerdict(c.r); got != c.want {
-			t.Errorf("%s: verdict = %q, want %q", c.name, got, c.want)
+			t.Errorf("%s: verdict string = %q, want %q", c.name, got, c.want)
+		}
+
+		suite := &SuiteSpec{Name: "verdicts", Scenarios: []ScenarioSpec{{Name: c.name}}}
+		rep := &SuiteReport{Results: []ScenarioResult{c.r}}
+		var stream bytes.Buffer
+		sink := NewJSONLSink(&stream)
+		if err := sink.Emit(c.r); err != nil {
+			t.Fatal(err)
+		}
+		for i, cmp := range c.cmps {
+			cmp.Golden, cmp.Suspect = fmt.Sprintf("golden%d", i), c.name
+			suite.Scenarios = append(suite.Scenarios, ScenarioSpec{Name: cmp.Golden})
+			suite.Compare = append(suite.Compare, CompareSpec{Golden: cmp.Golden, Suspect: cmp.Suspect})
+			rep.Comparisons = append(rep.Comparisons, cmp)
+			if err := sink.EmitCompare(cmp); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := reportVerdicts(suite, rep)[c.name]; got != c.verdict {
+			t.Errorf("%s: typed RowVerdict = %v, want %v", c.name, got, c.verdict)
+		}
+		if got := streamVerdicts(t, suite, stream.Bytes())[c.name]; got != c.verdict {
+			t.Errorf("%s: JSONL RowVerdict = %v, want %v", c.name, got, c.verdict)
 		}
 	}
 }
