@@ -138,6 +138,7 @@ func BenchmarkGoldenPrint(b *testing.B) {
 		}
 		b.ReportMetric(res.Duration.Seconds(), "sim-s/op")
 		b.ReportMetric(float64(tb.Engine.Executed()), "events/op")
+		b.ReportMetric(float64(tb.Engine.Windows()), "windows/op")
 		core.Reclaim(res)
 	}
 }

@@ -106,9 +106,11 @@ type Plant struct {
 	engine *sim.Engine
 	bus    *signal.Bus
 
-	axes     map[signal.Axis]*axisState
-	drivers  map[signal.Axis]*ramps.Driver
-	endstops map[signal.Axis]*ramps.Endstop
+	// Per-axis parts, indexed by signal.Axis (index 0 unused). E has no
+	// endstop: endstops[signal.AxisE] stays nil.
+	axes     [signal.AxisE + 1]*axisState
+	drivers  [signal.AxisE + 1]*ramps.Driver
+	endstops [signal.AxisE + 1]*ramps.Endstop
 
 	hotendMosfet *ramps.Mosfet
 	bedMosfet    *ramps.Mosfet
@@ -146,9 +148,6 @@ func NewPlant(engine *sim.Engine, bus *signal.Bus, cfg Config) (*Plant, error) {
 		cfg:        cfg,
 		engine:     engine,
 		bus:        bus,
-		axes:       make(map[signal.Axis]*axisState, 4),
-		drivers:    make(map[signal.Axis]*ramps.Driver, 4),
-		endstops:   make(map[signal.Axis]*ramps.Endstop, 3),
 		thermistor: ramps.StandardThermistor(),
 		part:       NewPart(cfg.LayerQuantum),
 	}
@@ -246,8 +245,8 @@ func (p *Plant) deposit(filament float64) {
 
 // refreshEndstop drives the axis's MIN switch from the carriage position.
 func (p *Plant) refreshEndstop(a signal.Axis) {
-	es, ok := p.endstops[a]
-	if !ok {
+	es := p.endstops[a]
+	if es == nil {
 		return
 	}
 	es.SetPressed(p.axes[a].posMM <= 0)

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // ErrStopped is returned by Run when the simulation was halted by Stop
@@ -81,7 +82,9 @@ func slotOf(at Time) int { return int(at>>wheelShift) & wheelMask }
 //
 //   - a hierarchical timing wheel (near tier) holding events less than
 //     wheelSpan ahead, appended to unsorted slots and drained in exact
-//     (at, seq) order window by window;
+//     (at, seq) order one window at a time. An occupancy bitmap (one bit
+//     per slot) lets the drain loop jump straight to the next occupied
+//     window instead of walking the empty ones;
 //   - a hand-rolled 4-ary min-heap of value events (far tier) holding
 //     everything beyond the wheel horizon, promoted into the wheel as its
 //     windows come due.
@@ -103,6 +106,11 @@ type Engine struct {
 	base       Time
 	slots      [wheelSlots][]event
 	wheelCount int
+	// occupied has bit s set while slots[s] may hold events: set on every
+	// append, cleared when the drain loop empties the slot.
+	occupied [wheelSlots / 64]uint64
+	// windows counts the wheel windows the drain loop has moved to.
+	windows uint64
 
 	heap []event
 }
@@ -136,6 +144,8 @@ func (e *Engine) Reset() {
 	e.pending = 0
 	e.base = 0
 	e.wheelCount = 0
+	e.occupied = [wheelSlots / 64]uint64{}
+	e.windows = 0
 }
 
 // Now reports the current simulation time.
@@ -143,6 +153,11 @@ func (e *Engine) Now() Time { return e.now }
 
 // Executed reports the number of events processed so far.
 func (e *Engine) Executed() uint64 { return e.executed }
+
+// Windows reports the number of wheel windows the drain loop has moved to
+// since creation or Reset. Empty windows are skipped, so every window
+// counted held at least one pending event when the loop reached it.
+func (e *Engine) Windows() uint64 { return e.windows }
 
 // Pending reports the number of events waiting in the queue.
 func (e *Engine) Pending() int { return e.pending }
@@ -195,8 +210,11 @@ func (e *Engine) enqueue(ev event) {
 	ev.seq = e.seq
 	e.pending++
 	if ev.at < e.base+wheelSpan {
+		// Inlined by hand: an append helper taking ev costs the hot path
+		// an extra copy of the event.
 		s := slotOf(ev.at)
 		e.slots[s] = append(e.slots[s], ev)
+		e.occupied[s>>6] |= 1 << (s & 63)
 		e.wheelCount++
 		return
 	}
@@ -229,30 +247,28 @@ func (e *Engine) RunUntilIdle() error { return e.run(math.MaxInt64) }
 // run is the drain loop shared by Run and RunUntilIdle. It executes every
 // event with at ≤ until in strict (at, seq) order and leaves the clock at
 // the last executed event (the callers decide whether to advance further).
+//
+// Each pass drains the window at base, then moves base to the earlier of
+// the next occupied wheel slot and the heap top's window; empty windows
+// are never visited. base never moves past until, so a later Run (or a
+// Schedule at Now) still finds every pending event at or after base.
 func (e *Engine) run(until Time) error {
 	e.stopped = false
 	for e.pending > 0 {
-		if e.wheelCount == 0 {
-			// The wheel is empty: jump the window straight to the heap's
-			// earliest event instead of rotating through empty slots.
-			top := e.heap[0].at
-			if top > until {
-				return nil
-			}
-			e.base = top &^ (wheelSlot - 1)
-		}
 		// Promote far-tier events due in this window.
 		for len(e.heap) > 0 && e.heap[0].at < e.base+wheelSlot {
 			ev := e.heapPop()
 			s := slotOf(ev.at)
 			e.slots[s] = append(e.slots[s], ev)
+			e.occupied[s>>6] |= 1 << (s & 63)
 			e.wheelCount++
 		}
 		// Drain the current window in (at, seq) order. The slot is
 		// unsorted and may grow while events execute (short-delay
 		// reschedules land back in the same window), so each step scans
 		// for the minimum remaining event.
-		slot := &e.slots[slotOf(e.base)]
+		cur := slotOf(e.base)
+		slot := &e.slots[cur]
 		for len(*slot) > 0 {
 			s := *slot
 			min := 0
@@ -277,18 +293,60 @@ func (e *Engine) run(until Time) error {
 			if e.stopped {
 				return ErrStopped
 			}
-			slot = &e.slots[slotOf(e.base)]
+			slot = &e.slots[cur]
 		}
+		e.occupied[cur>>6] &^= 1 << (cur & 63)
 		if e.pending == 0 {
 			break
 		}
 		// Every remaining event lies at or beyond the next window.
-		if e.base+wheelSlot > until {
+		next := e.nextWindow(cur)
+		if next > until {
 			return nil
 		}
-		e.base += wheelSlot
+		e.base = next
+		e.windows++
 	}
 	return nil
+}
+
+// nextWindow returns the start of the earliest window after base that
+// holds a pending event: the next occupied wheel slot or the heap top's
+// window, whichever is earlier. cur is base's slot, already drained. The
+// wheel holds only events before base+wheelSpan, so the circular distance
+// from cur to an occupied slot is its distance in windows from base.
+func (e *Engine) nextWindow(cur int) Time {
+	next := Time(math.MaxInt64)
+	if e.wheelCount > 0 {
+		next = e.base + Time(e.nextOccupied(cur))*wheelSlot
+	}
+	if len(e.heap) > 0 {
+		if top := e.heap[0].at &^ (wheelSlot - 1); top < next {
+			next = top
+		}
+	}
+	return next
+}
+
+// nextOccupied returns the circular distance (1 to wheelSlots-1) from slot
+// cur to the next occupied slot. cur's own bit must be clear and at least
+// one other bit set.
+func (e *Engine) nextOccupied(cur int) int {
+	start := (cur + 1) & wheelMask
+	w := start >> 6
+	word := e.occupied[w] &^ (1<<(start&63) - 1)
+	// At most five word visits: the first word's high part, the other
+	// three words, then the first word again for the slots that wrap
+	// around before cur.
+	for i := 0; i <= len(e.occupied); i++ {
+		if word != 0 {
+			s := w<<6 | bits.TrailingZeros64(word)
+			return (s - cur) & wheelMask
+		}
+		w = (w + 1) % len(e.occupied)
+		word = e.occupied[w]
+	}
+	panic("sim: wheel count positive but no slot occupied")
 }
 
 // heapPush inserts ev into the far-tier 4-ary min-heap.

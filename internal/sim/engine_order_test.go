@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -144,84 +145,208 @@ func (r *refEngine) run(spawn func(id int, now Time, schedule func(d Time, id in
 }
 
 // workload is a deterministic random event tree: node i, when executed,
-// schedules its children at fixed relative delays. Delays mix the wheel's
-// sweet spot (sub-slot, multi-slot) with far-horizon heap delays and
-// plenty of zero/equal delays to force same-instant ties.
+// schedules its children. A child either sits a fixed delay after its
+// parent or, when slot ≥ 0, lands on that wheel slot `delay` (whole wheel
+// spans) past the parent's rotation — slots are absolute, so this is the
+// only way to aim at one.
 type workloadNode struct {
-	children []struct {
-		delay Time
-		id    int
-	}
+	children []workloadChild
 }
 
-func buildWorkload(rng *rand.Rand, n int) []workloadNode {
-	delays := []Time{
-		0, 1, 13, 100, // same-instant and sub-slot
-		2000, 2000, 8192, 8193, // slot-boundary neighbours
-		50_000, 50_000, 150_000, // multi-slot
-		wheelSpan - 1, wheelSpan, wheelSpan + 1, // horizon boundary
-		10_000_000, 100_000_000, // deep heap
+type workloadChild struct {
+	delay Time
+	slot  int
+	id    int
+}
+
+// after returns the child's delay from a parent executing at now.
+func (c workloadChild) after(now Time) Time {
+	if c.slot < 0 {
+		return c.delay
 	}
+	return now&^(wheelSpan-1) + c.delay + Time(c.slot)*wheelSlot + 3 - now
+}
+
+// denseDelays mix the wheel's sweet spot (sub-slot, multi-slot) with
+// far-horizon heap delays and plenty of zero/equal delays to force
+// same-instant ties.
+var denseDelays = []Time{
+	0, 1, 13, 100, // same-instant and sub-slot
+	2000, 2000, 8192, 8193, // slot-boundary neighbours
+	50_000, 50_000, 150_000, // multi-slot
+	wheelSpan - 1, wheelSpan, wheelSpan + 1, // horizon boundary
+	10_000_000, 100_000_000, // deep heap
+}
+
+// sparseDelays leave gaps of one to three wheel spans, so the drain loop
+// must jump across empty windows, plus a few short delays that keep
+// several slots occupied at once.
+var sparseDelays = []Time{
+	0, 13, 8193,
+	wheelSpan, wheelSpan + 5, 2*wheelSpan - 1,
+	2*wheelSpan + 63*wheelSlot, 3 * wheelSpan, 3*wheelSpan + wheelSlot/2,
+}
+
+// edgeSlots are the slot targets of the sparse workload: both ends of
+// every bitmap word, so the next-slot search crosses word boundaries and
+// wraps around the wheel.
+var edgeSlots = []int{0, 63, 64, 127, 128, 255}
+
+func buildWorkload(rng *rand.Rand, n int, sparse bool) []workloadNode {
 	nodes := make([]workloadNode, n)
 	next := 1
 	for i := 0; i < n && next < n; i++ {
 		kids := rng.Intn(4)
+		if kids == 0 && next == i+1 {
+			kids = 1 // node i is the last one reachable: keep the tree growing
+		}
 		for k := 0; k < kids && next < n; k++ {
-			d := delays[rng.Intn(len(delays))]
-			nodes[i].children = append(nodes[i].children, struct {
-				delay Time
-				id    int
-			}{d, next})
+			c := workloadChild{slot: -1, id: next}
+			switch {
+			case !sparse:
+				c.delay = denseDelays[rng.Intn(len(denseDelays))]
+			case rng.Intn(2) == 0:
+				c.delay = sparseDelays[rng.Intn(len(sparseDelays))]
+			default:
+				c.delay = Time(1+rng.Intn(3)) * wheelSpan
+				c.slot = edgeSlots[rng.Intn(len(edgeSlots))]
+			}
+			nodes[i].children = append(nodes[i].children, c)
 			next++
 		}
 	}
 	return nodes
 }
 
-func TestEngineDifferentialOrderingVsReference(t *testing.T) {
-	for _, seed := range []int64{1, 7, 42, 1234} {
-		rng := rand.New(rand.NewSource(seed))
-		nodes := buildWorkload(rng, 600)
+// referenceOrder is the workload's execution order on refEngine, starting
+// at time start.
+func referenceOrder(nodes []workloadNode, start Time) []int {
+	ref := &refEngine{now: start}
+	ref.schedule(start, 0)
+	return ref.run(func(id int, now Time, schedule func(Time, int)) {
+		for _, c := range nodes[id].children {
+			schedule(c.after(now), c.id)
+		}
+	})
+}
 
-		// Reference run.
-		ref := &refEngine{}
-		ref.schedule(0, 0)
-		refOrder := ref.run(func(id int, _ Time, schedule func(Time, int)) {
-			for _, c := range nodes[id].children {
-				schedule(c.delay, c.id)
+// runWorkload replays nodes on e from time Now, alternating closure and
+// edge paths to cover both, and returns the execution order. The event
+// with id stopAt (if any) calls Stop. drive runs the engine.
+func runWorkload(t *testing.T, e *Engine, nodes []workloadNode, stopAt int, drive func() error) []int {
+	t.Helper()
+	var order []int
+	var exec func(id int)
+	sink := &workloadSink{fire: func(id int) { exec(id) }}
+	exec = func(id int) {
+		order = append(order, id)
+		if id == stopAt {
+			e.Stop()
+		}
+		for _, c := range nodes[id].children {
+			c := c
+			if c.id%2 == 0 {
+				e.After(c.after(e.Now()), func() { exec(c.id) })
+			} else {
+				e.AfterEdge(c.after(e.Now()), sink, uint64(c.id))
 			}
-		})
+		}
+	}
+	e.Schedule(e.Now(), func() { exec(0) })
+	if err := drive(); err != nil {
+		t.Fatalf("drive: %v", err)
+	}
+	return order
+}
 
-		// Engine run, alternating closure and edge paths to cover both.
-		e := NewEngine()
-		var order []int
-		var exec func(id int)
-		sink := &workloadSink{}
-		sink.fire = func(id int) { exec(id) }
-		exec = func(id int) {
-			order = append(order, id)
-			for _, c := range nodes[id].children {
-				c := c
-				if c.id%2 == 0 {
-					e.After(c.delay, func() { exec(c.id) })
-				} else {
-					e.AfterEdge(c.delay, sink, uint64(c.id))
+// runChunks drives e the way Testbed.Run does: Run(until) over a rising
+// horizon in random chunks, from sub-slot to multi-span, until idle. A
+// Stop resumes with the same horizon; it must happen exactly stops times.
+func runChunks(e *Engine, rng *rand.Rand, stops int) func() error {
+	chunks := []Time{1, 100, wheelSlot - 1, wheelSlot, 5 * wheelSlot, wheelSpan, 3*wheelSpan + 7, 10 * Millisecond}
+	return func() error {
+		until := e.Now()
+		for e.Pending() > 0 {
+			until += chunks[rng.Intn(len(chunks))]
+			err := e.Run(until)
+			if err == ErrStopped {
+				stops--
+				err = e.Run(until)
+			}
+			if err != nil {
+				return err
+			}
+			if e.Now() != until {
+				return fmt.Errorf("Run(%v) left the clock at %v", until, e.Now())
+			}
+		}
+		if stops != 0 {
+			return fmt.Errorf("%d Stop calls missing", stops)
+		}
+		return nil
+	}
+}
+
+// TestEngineDifferentialOrderingVsReference replays dense and sparse
+// random workloads through refEngine and Engine and demands identical
+// execution order: under RunUntilIdle, on a Reset engine, and under
+// chunked Run(until) calls with a Stop/resume.
+func TestEngineDifferentialOrderingVsReference(t *testing.T) {
+	for _, sparse := range []bool{false, true} {
+		for _, seed := range []int64{1, 7, 42, 1234} {
+			rng := rand.New(rand.NewSource(seed))
+			nodes := buildWorkload(rng, 600, sparse)
+
+			refOrder := referenceOrder(nodes, 0)
+			check := func(how string, order []int) {
+				t.Helper()
+				if len(order) != len(refOrder) {
+					t.Fatalf("sparse=%v seed %d %s: executed %d events, reference executed %d",
+						sparse, seed, how, len(order), len(refOrder))
+				}
+				for i := range refOrder {
+					if order[i] != refOrder[i] {
+						t.Fatalf("sparse=%v seed %d %s: execution order diverges at %d: engine %d, reference %d",
+							sparse, seed, how, i, order[i], refOrder[i])
+					}
 				}
 			}
-		}
-		e.Schedule(0, func() { exec(0) })
-		if err := e.RunUntilIdle(); err != nil {
-			t.Fatalf("seed %d: RunUntilIdle: %v", seed, err)
-		}
 
-		if len(order) != len(refOrder) {
-			t.Fatalf("seed %d: executed %d events, reference executed %d", seed, len(order), len(refOrder))
-		}
-		for i := range refOrder {
-			if order[i] != refOrder[i] {
-				t.Fatalf("seed %d: execution order diverges at %d: engine %d, reference %d",
-					seed, i, order[i], refOrder[i])
+			e := NewEngine()
+			check("RunUntilIdle", runWorkload(t, e, nodes, -1, e.RunUntilIdle))
+			windows := e.Windows()
+			if windows > e.Executed() {
+				t.Fatalf("sparse=%v seed %d: %d windows for %d events", sparse, seed, windows, e.Executed())
 			}
+
+			// Abandon a replay at a Stop, with events still queued in both
+			// tiers; the reset engine must then replay the workload
+			// exactly, down to the windows it visits.
+			stopAt := refOrder[len(refOrder)/3]
+			e.Reset()
+			runWorkload(t, e, nodes, stopAt, func() error {
+				if err := e.RunUntilIdle(); err != ErrStopped {
+					return fmt.Errorf("RunUntilIdle = %v, want ErrStopped", err)
+				}
+				return nil
+			})
+			e.Reset()
+			check("Reset+RunUntilIdle", runWorkload(t, e, nodes, -1, e.RunUntilIdle))
+			if e.Windows() != windows {
+				t.Fatalf("sparse=%v seed %d: reset engine drained %d windows, fresh engine %d",
+					sparse, seed, e.Windows(), windows)
+			}
+
+			// Chunked Run(until) with one Stop/resume, on the reset engine
+			// and then again after an idle gap, so the replay starts
+			// mid-rotation.
+			e.Reset()
+			check("Reset+Run chunks", runWorkload(t, e, nodes, stopAt, runChunks(e, rng, 1)))
+			if err := e.Run(e.Now() + 5*wheelSpan + 17); err != nil {
+				t.Fatal(err)
+			}
+			refOrder = referenceOrder(nodes, e.Now())
+			check("Run chunks after idle gap", runWorkload(t, e, nodes, stopAt, runChunks(e, rng, 1)))
 		}
 	}
 }
@@ -335,5 +460,7 @@ func BenchmarkEngineMixedHorizon(b *testing.B) {
 		if err := e.Run(1100 * Millisecond); err != nil {
 			b.Fatal(err)
 		}
+		b.ReportMetric(float64(e.Executed()), "events/op")
+		b.ReportMetric(float64(e.Windows()), "windows/op")
 	}
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"testing/quick"
 	"time"
@@ -62,6 +63,67 @@ func TestEngineRunStopsAtHorizon(t *testing.T) {
 	}
 	if !ran {
 		t.Error("event did not run after horizon extended")
+	}
+}
+
+// TestEngineSkipsEmptyWindows checks the drain loop jumps across empty
+// wheel windows: n events 1 ms (~122 windows) apart cost one window each,
+// whether they wait in the far-tier heap (all scheduled up front) or in
+// the wheel (a chain, each event scheduling the next).
+func TestEngineSkipsEmptyWindows(t *testing.T) {
+	const n = 50
+	upfront := func(e *Engine, ran *int) {
+		for i := 0; i < n; i++ {
+			e.Schedule(Time(i)*Millisecond, func() { *ran++ })
+		}
+	}
+	chain := func(e *Engine, ran *int) {
+		var next func()
+		next = func() {
+			if *ran++; *ran < n {
+				e.After(Millisecond, next)
+			}
+		}
+		e.Schedule(0, next)
+	}
+	for name, load := range map[string]func(*Engine, *int){"upfront": upfront, "chain": chain} {
+		e := NewEngine()
+		ran := 0
+		load(e, &ran)
+		if err := e.Run(n * Millisecond); err != nil {
+			t.Fatal(err)
+		}
+		if ran != n {
+			t.Fatalf("%s: ran %d of %d events", name, ran, n)
+		}
+		if e.Windows() > n+1 {
+			t.Errorf("%s: %d events 1 ms apart drained %d windows, want <= %d", name, n, e.Windows(), n+1)
+		}
+		e.Reset()
+		if e.Windows() != 0 {
+			t.Errorf("%s: Windows() = %d after Reset", name, e.Windows())
+		}
+	}
+}
+
+// TestEngineHorizonHoldsWindow checks a Run that ends on its horizon does
+// not move the wheel window past it: an event scheduled at Now afterwards
+// must still run before later far-tier events, not a rotation late.
+func TestEngineHorizonHoldsWindow(t *testing.T) {
+	e := NewEngine()
+	var got []string
+	far := 3*wheelSpan + 5*wheelSlot
+	e.Schedule(0, func() { got = append(got, "first") })
+	e.Schedule(far, func() { got = append(got, "far") })
+	if err := e.Run(wheelSpan); err != nil {
+		t.Fatal(err)
+	}
+	e.Schedule(e.Now()+1, func() { got = append(got, "near") })
+	if err := e.Run(far); err != nil {
+		t.Fatal(err)
+	}
+	if want := "[first near far]"; fmt.Sprint(got) != want {
+		t.Fatalf("order = %v, want %s", got, want)
 	}
 }
 
