@@ -9,18 +9,10 @@
 //	gridgen grid.json                  # expanded suite on stdout
 //	gridgen -o suite.json grid.json
 //	gridgen -names grid.json           # one scenario name per line
-//	gridgen -names -shard 2/4 grid.json  # ...owned by shard 2 of 4
 //
-// -names lists the expanded scenario names (with -shard, only the named
-// shard's), which is how a CI matrix or remote executor can preview a
-// sweep's slices without running anything.
-//
-// Static -shard slices and the farm's dynamic lease queue (see
-// internal/farm and cmd/coordinator) are two partitions of the same
-// scenario-name space: `gridgen -names -shard i/N` previews exactly the
-// set a `suite -shard i/N` run would own, while a coordinator deals the
-// same names out one lease at a time. Either way the reassembled report
-// is byte-identical to the unsharded run.
+// -names lists every expanded scenario name in suite order, which is the
+// order a farm coordinator (cmd/coordinator) seeds its lease queue with:
+// a preview of a sweep's work units without running anything.
 package main
 
 import (
@@ -45,7 +37,6 @@ func run(args []string, stdout io.Writer) error {
 	var (
 		out   = fs.String("o", "", "write the expanded suite spec to `file` (default stdout)")
 		names = fs.Bool("names", false, "print expanded scenario names instead of the suite JSON")
-		shard = fs.String("shard", "", "with -names, list only shard `i/N`'s owned scenarios")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -53,9 +44,6 @@ func run(args []string, stdout io.Writer) error {
 	if fs.NArg() != 1 {
 		fs.Usage()
 		return fmt.Errorf("want exactly one grid file, got %d args", fs.NArg())
-	}
-	if *shard != "" && !*names {
-		return fmt.Errorf("-shard requires -names (use cmd/suite -shard to run a slice)")
 	}
 
 	g, err := offramps.LoadGridSpec(fs.Arg(0))
@@ -68,19 +56,8 @@ func run(args []string, stdout io.Writer) error {
 	}
 
 	if *names {
-		owned := func(string) bool { return true }
-		if *shard != "" {
-			idx, cnt, err := offramps.ParseShard(*shard)
-			if err != nil {
-				return err
-			}
-			owned = func(name string) bool { return offramps.ShardOf(name, cnt) == idx-1 }
-		}
-		w := stdout
-		for _, sc := range suite.Scenarios {
-			if owned(sc.Name) {
-				fmt.Fprintln(w, sc.Name)
-			}
+		for _, name := range suite.ScenarioNames() {
+			fmt.Fprintln(stdout, name)
 		}
 		return nil
 	}

@@ -1,9 +1,9 @@
 package main
 
 import (
-	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -51,35 +51,20 @@ func TestGridgenRoundTrips(t *testing.T) {
 	}
 }
 
-// TestGridgenNamesShards: -names lists every scenario, and the -shard
-// slices partition that list exactly.
-func TestGridgenNamesShards(t *testing.T) {
+// TestGridgenNames: -names lists every scenario once, in suite order —
+// the order a farm coordinator seeds its lease queue with.
+func TestGridgenNames(t *testing.T) {
 	grid := filepath.Join(repoRoot(t), "examples", "specs", "grid_tableii.json")
-	var all strings.Builder
-	if err := run([]string{"-names", grid}, &all); err != nil {
+	var out strings.Builder
+	if err := run([]string{"-names", grid}, &out); err != nil {
 		t.Fatal(err)
 	}
-	names := strings.Fields(all.String())
-	if len(names) != 10 {
-		t.Fatalf("names = %v", names)
+	suite, err := offramps.LoadSuiteOrGrid(grid, true)
+	if err != nil {
+		t.Fatal(err)
 	}
-	seen := map[string]int{}
-	for i := 1; i <= 3; i++ {
-		var out strings.Builder
-		if err := run([]string{"-names", "-shard", fmt.Sprintf("%d/3", i), grid}, &out); err != nil {
-			t.Fatal(err)
-		}
-		for _, n := range strings.Fields(out.String()) {
-			seen[n]++
-		}
-	}
-	if len(seen) != len(names) {
-		t.Errorf("shards cover %d of %d names", len(seen), len(names))
-	}
-	for n, c := range seen {
-		if c != 1 {
-			t.Errorf("name %q listed by %d shards", n, c)
-		}
+	if got, want := strings.Fields(out.String()), suite.ScenarioNames(); !reflect.DeepEqual(got, want) || len(got) != 10 {
+		t.Errorf("names = %v, want %v", got, want)
 	}
 }
 
@@ -89,8 +74,15 @@ func TestGridgenRejectsBadInput(t *testing.T) {
 	if err := run([]string{}, &out); err == nil {
 		t.Error("no args accepted")
 	}
-	if err := run([]string{"-shard", "1/2", "grid.json"}, &out); err == nil {
-		t.Error("-shard without -names accepted")
+	if err := run([]string{"-names", "-shard", "1/2", "grid.json"}, &out); err == nil {
+		t.Error("retired -shard flag accepted")
+	}
+	wide := filepath.Join(t.TempDir(), "grid_wide.json")
+	if err := os.WriteFile(wide, []byte(`{"name":"wide","axes":{"seeds":{"from":0,"to":18446744073709551615}}}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := run([]string{"-names", wide}, &out); err == nil || !strings.Contains(err.Error(), "18446744073709551616 cells") {
+		t.Errorf("wide seed grid: err = %v, want the cell count named", err)
 	}
 	if err := run([]string{filepath.Join(t.TempDir(), "nope.json")}, &out); err == nil {
 		t.Error("missing grid file accepted")

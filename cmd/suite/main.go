@@ -11,10 +11,8 @@
 //	suite -workers 4 -json report.json -csv rows.csv specs/*.json
 //	suite -seed 99 spec.json        # override the spec's base seed
 //	suite -grid grid.json           # expand a parameter-grid sweep first
-//	suite -grid -shard 2/4 -json shard2.json grid.json
-//	suite -grid -merge -json merged.json grid.json shard*.json
-//	suite -grid -merge -json merged.json grid.json shard*.jsonl
 //	suite -jsonl results.jsonl -progress big_sweep.json
+//	suite -grid -merge -json merged.json grid.json results.jsonl
 //	suite -golden-store .goldens spec.json  # reuse golden prints across runs
 //	suite -progressive -scenario-budget 14 -earlystop 2 grid_sweep.json
 //	suite -golden-store .goldens -golden-store-gc spec.json  # drop stale goldens
@@ -30,12 +28,12 @@
 // A grid file (-grid) is a compact sweep description — axes of programs,
 // trojans, detectors, taps, budgets, and seeds, cross-multiplied minus
 // include/exclude filters — expanded deterministically into a suite (see
-// cmd/gridgen to materialize the expansion). -shard i/N runs a disjoint,
-// stable slice of any suite: each scenario's shard is a hash of its
-// name, so CI matrices and remote runners can split a sweep and -merge
-// reassembles the per-shard JSON reports into one report byte-identical
-// to the unsharded run. -jsonl and -progress stream per-scenario rows as
-// prints complete, keeping memory bounded on huge sweeps.
+// cmd/gridgen to materialize the expansion). -jsonl and -progress stream
+// per-scenario rows as prints complete, keeping memory bounded on huge
+// sweeps. -merge restitches one such stream — or a farm coordinator's
+// journal, which has the same format — into the report, byte-identical
+// to the -json report of the run that wrote it. To split a sweep across
+// machines, run it on a farm (cmd/coordinator, cmd/worker).
 //
 // See examples/specs/ for committed spec files, including the RAMPS-side
 // tap scenario that detects a board-injected trojan the paper's
@@ -76,8 +74,7 @@ func run(args []string, stdout io.Writer) error {
 		jsonOut  = fs.String("json", "", "write the suite reports as JSON to `file` (\"-\" = stdout)")
 		csvOut   = fs.String("csv", "", "write per-scenario and per-comparison rows as CSV to `file` (\"-\" = stdout)")
 		grid     = fs.Bool("grid", false, "treat the spec files as parameter-grid sweeps and expand them first (grid_*.json files auto-detect)")
-		shard    = fs.String("shard", "", "run only shard `i/N` of each suite (stable per-scenario slices; merge with -merge)")
-		merge    = fs.Bool("merge", false, "merge shard outputs: first arg is the spec/grid file, the rest are per-shard -json reports or -jsonl streams")
+		merge    = fs.Bool("merge", false, "restitch a report: args are the spec/grid file and one -jsonl stream or farm journal")
 		jsonlOut = fs.String("jsonl", "", "stream one JSON line per completed scenario to `file` (\"-\" = stdout)")
 		progress = fs.Bool("progress", false, "print a progress line as each scenario completes")
 		storeDir = fs.String("golden-store", "", "persist golden runs in `dir` across invocations (misses fill it; corrupt entries re-simulate)")
@@ -97,27 +94,17 @@ func run(args []string, stdout io.Writer) error {
 	if *storeGC && *storeDir == "" {
 		return fmt.Errorf("-golden-store-gc requires -golden-store")
 	}
-	if *prog && (*shard != "" || *merge) {
-		return fmt.Errorf("-progressive is incompatible with -shard and -merge (the scheduler owns the execution order)")
+	if *prog && *merge {
+		return fmt.Errorf("-progressive is incompatible with -merge (the scheduler owns the execution order)")
 	}
 	if (*budget != 0 || *early != 0) && !*prog {
 		return fmt.Errorf("-scenario-budget and -earlystop require -progressive")
 	}
 	if *merge {
-		if *shard != "" {
-			return fmt.Errorf("-merge and -shard are mutually exclusive")
-		}
 		if *csvOut != "" || *jsonlOut != "" || *progress {
-			return fmt.Errorf("-csv, -jsonl, and -progress are not supported with -merge (it stitches existing -json reports)")
+			return fmt.Errorf("-csv, -jsonl, and -progress are not supported with -merge (it restitches an existing stream)")
 		}
 		return runMerge(*grid, *seed, paths, *jsonOut, stdout)
-	}
-	var shardIdx, shardCnt int
-	if *shard != "" {
-		var err error
-		if shardIdx, shardCnt, err = offramps.ParseShard(*shard); err != nil {
-			return err
-		}
 	}
 
 	var jsonl *offramps.JSONLSink
@@ -151,7 +138,7 @@ func run(args []string, stdout io.Writer) error {
 		if *prog {
 			spec, layout, err = offramps.LoadSuiteOrGridLayout(path, *grid)
 		} else {
-			spec, err = loadSuite(path, *grid)
+			spec, err = offramps.LoadSuiteOrGrid(path, *grid)
 		}
 		if err != nil {
 			return err
@@ -159,46 +146,34 @@ func run(args []string, stdout io.Writer) error {
 		if *seed != 0 {
 			spec.BaseSeed = *seed
 		}
-		runSpec := spec
-		var sh *offramps.SuiteShard
-		if *shard != "" {
-			if sh, err = spec.Shard(shardIdx, shardCnt); err != nil {
-				return fmt.Errorf("%s: %w", path, err)
-			}
-			runSpec = sh.Spec
-		}
 
 		c := offramps.Campaign{Cache: cache}
 		if *workers > 0 {
 			c.Workers = *workers
-			runSpec.Workers = 0 // flag wins over the spec
+			spec.Workers = 0 // flag wins over the spec
 		}
 		// The jsonl sink spans every suite and is closed after the loop;
 		// per-suite sinks are closed as each suite finishes.
 		var perSuite []offramps.ResultSink
 		if jsonl != nil {
 			jsonl.Label = spec.Name
-			c.Sinks = append(c.Sinks, ownedOnly(sh, jsonl))
+			c.Sinks = append(c.Sinks, jsonl)
 		}
 		if *progress {
-			total := len(runSpec.Scenarios)
-			if sh != nil {
-				total = len(sh.Owned)
-			}
-			ps := ownedOnly(sh, &offramps.ProgressSink{W: stdout, Total: total, Cache: cache})
+			ps := &offramps.ProgressSink{W: stdout, Total: len(spec.Scenarios), Cache: cache}
 			c.Sinks = append(c.Sinks, ps)
 			perSuite = append(perSuite, ps)
 		}
 
 		start := time.Now()
-		rep := &offramps.SuiteReport{Suite: runSpec.Name, BaseSeed: runSpec.BaseSeed, Results: []offramps.ScenarioResult{}}
+		rep := &offramps.SuiteReport{Suite: spec.Name, BaseSeed: spec.BaseSeed, Results: []offramps.ScenarioResult{}}
 		var stats offramps.SweepStats
-		if len(runSpec.Scenarios) > 0 {
+		if len(spec.Scenarios) > 0 {
 			if layout != nil {
-				rep, stats, err = c.RunSuiteProgressive(context.Background(), runSpec, layout,
+				rep, stats, err = c.RunSuiteProgressive(context.Background(), spec, layout,
 					sched.Config{Budget: *budget, EarlyStopK: *early})
 			} else {
-				rep, err = c.RunSuite(context.Background(), runSpec)
+				rep, err = c.RunSuite(context.Background(), spec)
 			}
 			if err != nil {
 				// A sink failure still produced a complete report — keep
@@ -217,13 +192,6 @@ func run(args []string, stdout io.Writer) error {
 			if cerr := s.Close(); cerr != nil && sinkFailure == nil {
 				sinkFailure = fmt.Errorf("%s: result sink: %w", path, cerr)
 			}
-		}
-		if sh != nil {
-			// Helper goldens ran for the shard's compares but belong to
-			// another shard's report.
-			rep = sh.Filter(rep)
-			fmt.Fprintf(stdout, "shard %d/%d of %s: %d of %d scenarios\n",
-				shardIdx, shardCnt, spec.Name, len(rep.Results), len(spec.Scenarios))
 		}
 		if jsonl != nil {
 			// Comparison rows ride the stream too (after the suite's
@@ -256,7 +224,10 @@ func run(args []string, stdout io.Writer) error {
 		// The keep set is every store key this run consulted (hit or
 		// miss-then-fill); everything else is a leftover from old specs,
 		// formats, or seeds and is compacted away atomically.
-		before := store.Len()
+		before, err := store.Len()
+		if err != nil {
+			return fmt.Errorf("golden-store-gc: %w", err)
+		}
 		keep := make(map[goldenstore.Key]bool)
 		for _, k := range cache.UsedStoreKeys() {
 			keep[k] = true
@@ -264,8 +235,11 @@ func run(args []string, stdout io.Writer) error {
 		if err := store.Rebuild(func(k goldenstore.Key, _ []byte) bool { return keep[k] }); err != nil {
 			return fmt.Errorf("golden-store-gc: %w", err)
 		}
-		fmt.Fprintf(stdout, "golden store gc: kept %d entries, dropped %d\n",
-			store.Len(), before-store.Len())
+		after, err := store.Len()
+		if err != nil {
+			return fmt.Errorf("golden-store-gc: %w", err)
+		}
+		fmt.Fprintf(stdout, "golden store gc: kept %d entries, dropped %d\n", after, before-after)
 	}
 
 	if *jsonOut != "" {
@@ -284,41 +258,6 @@ func run(args []string, stdout io.Writer) error {
 		return err
 	}
 	return sinkFailure
-}
-
-// ownedOnly filters streamed rows to the shard's owned scenarios:
-// helper goldens execute in every shard that needs them, but across a
-// sharded sweep's concatenated -jsonl streams each scenario must appear
-// exactly once, matching the merged -json report.
-func ownedOnly(sh *offramps.SuiteShard, inner offramps.ResultSink) offramps.ResultSink {
-	if sh == nil {
-		return inner
-	}
-	return &ownedSink{sh: sh, inner: inner}
-}
-
-type ownedSink struct {
-	sh    *offramps.SuiteShard
-	inner offramps.ResultSink
-}
-
-func (s *ownedSink) Emit(r offramps.ScenarioResult) error {
-	if !s.sh.Owned[r.Name] {
-		return nil
-	}
-	return s.inner.Emit(r)
-}
-
-func (s *ownedSink) Close() error { return s.inner.Close() }
-
-// loadSuite reads a suite spec — or a grid spec expanded into one. -grid
-// forces grid interpretation; without it, the committed grid_*.json
-// naming convention decides, so `suite examples/specs/*.json` keeps
-// working with grids in the glob. The same loading path backs the farm
-// coordinator (cmd/coordinator), so both front ends see identical
-// suites for identical inputs.
-func loadSuite(path string, grid bool) (*offramps.SuiteSpec, error) {
-	return offramps.LoadSuiteOrGrid(path, grid)
 }
 
 // firstError surfaces scenario or comparison failures as a non-zero exit
@@ -360,9 +299,9 @@ func sink(path string, stdout io.Writer) (io.Writer, func() error, error) {
 }
 
 // writeJSONDoc writes any document as indented JSON. Both the live
-// report path and the shard merge path emit through this one encoder
-// configuration — that shared normalization is what makes a merged
-// report byte-identical to an unsharded one.
+// report path and the -merge path emit through this one encoder
+// configuration — that shared normalization is what makes a restitched
+// report byte-identical to the live one.
 func writeJSONDoc(path string, stdout io.Writer, doc any) error {
 	w, closer, err := sink(path, stdout)
 	if err != nil {

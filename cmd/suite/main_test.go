@@ -181,221 +181,144 @@ func TestGridTableIIExampleSpec(t *testing.T) {
 	}
 }
 
-// TestShardMergeByteIdentical is the sharding acceptance test: for base
-// seeds 1 and 7, running the grid as four hash-keyed shards and merging
-// the per-shard JSON reports yields a file byte-identical to the
-// unsharded run's.
-func TestShardMergeByteIdentical(t *testing.T) {
-	grid := filepath.Join("testdata", "grid_shard.json")
+// runAndRestitch runs a spec with both -json and -jsonl, restitches the
+// stream through -merge, and returns the live report, the restitched
+// one, and the stream's path. extra flags (e.g. -grid, -seed) apply to
+// both invocations.
+func runAndRestitch(t *testing.T, spec string, extra ...string) (live, restitched []byte, stream string) {
+	t.Helper()
+	dir := t.TempDir()
+	full := filepath.Join(dir, "full.json")
+	merged := filepath.Join(dir, "merged.json")
+	stream = filepath.Join(dir, "rows.jsonl")
+	var out strings.Builder
+	if err := run(append(append([]string{}, extra...), "-jsonl", stream, "-json", full, spec), &out); err != nil {
+		t.Fatal(err)
+	}
+	if err := run(append(append([]string{"-merge"}, extra...), "-json", merged, spec, stream), &out); err != nil {
+		t.Fatalf("merge: %v", err)
+	}
+	var err error
+	if live, err = os.ReadFile(full); err != nil {
+		t.Fatal(err)
+	}
+	if restitched, err = os.ReadFile(merged); err != nil {
+		t.Fatal(err)
+	}
+	return live, restitched, stream
+}
+
+// TestMergeFromJSONLStreams: for base seeds 1 and 7, -merge restitches a
+// run's own -jsonl stream — rows in completion order, comparisons last —
+// into a report byte-identical to that run's -json report.
+func TestMergeFromJSONLStreams(t *testing.T) {
+	grid := filepath.Join("testdata", "grid_small.json")
 	for _, seed := range []string{"1", "7"} {
 		t.Run("seed"+seed, func(t *testing.T) {
-			dir := t.TempDir()
-			full := filepath.Join(dir, "full.json")
-			var out strings.Builder
-			if err := run([]string{"-grid", "-seed", seed, "-json", full, grid}, &out); err != nil {
-				t.Fatal(err)
-			}
-
-			const shards = 4
-			mergeArgs := []string{"-grid", "-merge", "-seed", seed, "-json", filepath.Join(dir, "merged.json"), grid}
-			for i := 1; i <= shards; i++ {
-				shardOut := filepath.Join(dir, fmt.Sprintf("shard%d.json", i))
-				if err := run([]string{"-grid", "-seed", seed, "-shard", fmt.Sprintf("%d/%d", i, shards), "-json", shardOut, grid}, &out); err != nil {
-					t.Fatalf("shard %d: %v", i, err)
-				}
-				mergeArgs = append(mergeArgs, shardOut)
-			}
-			if err := run(mergeArgs, &out); err != nil {
-				t.Fatalf("merge: %v", err)
-			}
-
-			want, err := os.ReadFile(full)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := os.ReadFile(filepath.Join(dir, "merged.json"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(got, want) {
-				t.Errorf("merged report is not byte-identical to the unsharded run\nunsharded: %d bytes\nmerged:    %d bytes", len(want), len(got))
+			live, restitched, _ := runAndRestitch(t, grid, "-grid", "-seed", seed)
+			if !bytes.Equal(restitched, live) {
+				t.Errorf("restitched report is not byte-identical to the live run\nlive:        %d bytes\nrestitched: %d bytes", len(live), len(restitched))
 			}
 		})
 	}
 }
 
-// TestMergeFromJSONLStreams: -merge stitches per-shard -jsonl streams —
-// no -json intermediate — into the same bytes as the unsharded run, and
-// mixed inputs (one shard as a report, one as a stream) merge too.
-func TestMergeFromJSONLStreams(t *testing.T) {
-	grid := filepath.Join("testdata", "grid_shard.json")
-	dir := t.TempDir()
-	full := filepath.Join(dir, "full.json")
-	var out strings.Builder
-	if err := run([]string{"-grid", "-json", full, grid}, &out); err != nil {
-		t.Fatal(err)
-	}
-	want, err := os.ReadFile(full)
+// TestMergeDetectsCoverageGap: a stream missing a scenario row — here an
+// interrupted run whose last scenario row is torn — must fail loudly,
+// not emit a silently incomplete report.
+func TestMergeDetectsCoverageGap(t *testing.T) {
+	grid := filepath.Join("testdata", "grid_small.json")
+	_, _, stream := runAndRestitch(t, grid, "-grid")
+	data, err := os.ReadFile(stream)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	for i := 1; i <= 2; i++ {
-		if err := run([]string{"-grid", "-shard", fmt.Sprintf("%d/2", i),
-			"-jsonl", filepath.Join(dir, fmt.Sprintf("shard%d.jsonl", i)),
-			"-json", filepath.Join(dir, fmt.Sprintf("shard%d.json", i)), grid}, &out); err != nil {
-			t.Fatalf("shard %d: %v", i, err)
+	lines := strings.SplitAfter(string(data), "\n")
+	last := -1
+	for i, line := range lines {
+		if row, err := offramps.ParseStreamRow([]byte(line)); err == nil && row.Name != "" {
+			last = i
 		}
 	}
-
-	merged := filepath.Join(dir, "merged.json")
-	if err := run([]string{"-grid", "-merge", "-json", merged, grid,
-		filepath.Join(dir, "shard1.jsonl"), filepath.Join(dir, "shard2.jsonl")}, &out); err != nil {
-		t.Fatalf("stream merge: %v", err)
+	if last < 0 {
+		t.Fatalf("stream has no scenario rows:\n%s", data)
 	}
-	got, err := os.ReadFile(merged)
-	if err != nil {
+	gapped := filepath.Join(t.TempDir(), "gapped.jsonl")
+	dropped := strings.Join(lines[:last], "") + strings.Join(lines[last+1:], "")
+	if err := os.WriteFile(gapped, []byte(dropped), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got, want) {
-		t.Error("stream-merged report is not byte-identical to the unsharded run")
-	}
-
-	if err := run([]string{"-grid", "-merge", "-json", merged, grid,
-		filepath.Join(dir, "shard1.json"), filepath.Join(dir, "shard2.jsonl")}, &out); err != nil {
-		t.Fatalf("mixed merge: %v", err)
-	}
-	if got, err = os.ReadFile(merged); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Error("mixed-input merge is not byte-identical to the unsharded run")
-	}
-}
-
-// TestMergeDetectsCoverageGap: merging fewer shards than the sweep needs
-// must fail loudly, not emit a silently incomplete report.
-func TestMergeDetectsCoverageGap(t *testing.T) {
-	grid := filepath.Join("testdata", "grid_shard.json")
-	dir := t.TempDir()
 	var out strings.Builder
-	shard1 := filepath.Join(dir, "shard1.json")
-	if err := run([]string{"-grid", "-shard", "1/4", "-json", shard1, grid}, &out); err != nil {
-		t.Fatal(err)
-	}
-	err := run([]string{"-grid", "-merge", "-json", filepath.Join(dir, "merged.json"), grid, shard1}, &out)
+	err = run([]string{"-grid", "-merge", grid, gapped}, &out)
 	if err == nil || !strings.Contains(err.Error(), "coverage gap") {
-		t.Errorf("partial merge accepted: %v", err)
+		t.Errorf("stream with a row removed accepted: %v", err)
 	}
-	// Merging the same shard twice is an overlap, not coverage.
-	err = run([]string{"-grid", "-merge", "-json", filepath.Join(dir, "merged.json"), grid, shard1, shard1}, &out)
-	if err == nil || !strings.Contains(err.Error(), "more than one shard") {
-		t.Errorf("overlapping merge accepted: %v", err)
+
+	torn := strings.Join(lines[:last], "") + lines[last][:len(lines[last])/2]
+	if err := os.WriteFile(gapped, []byte(torn), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out.Reset()
+	err = run([]string{"-grid", "-merge", grid, gapped}, &out)
+	if err == nil || !strings.Contains(err.Error(), "coverage gap") {
+		t.Errorf("stream with a torn last row accepted: %v", err)
+	}
+	if !strings.Contains(out.String(), "ends in a torn line") {
+		t.Errorf("torn tail not noted:\n%s", out.String())
 	}
 }
 
-// TestShardFlagValidation covers the CLI-level shard/merge guards.
-func TestShardFlagValidation(t *testing.T) {
+// TestMergeFlagValidation covers the CLI-level -merge guards, and that
+// the retired static -shard flag is gone.
+func TestMergeFlagValidation(t *testing.T) {
 	var out strings.Builder
-	if err := run([]string{"-shard", "9/4", filepath.Join("testdata", "grid_shard.json")}, &out); err == nil {
-		t.Error("out-of-range shard accepted")
+	if err := run([]string{"-merge", "onlyspec.json"}, &out); err == nil || !strings.Contains(err.Error(), "exactly one") {
+		t.Errorf("merge without a stream accepted: %v", err)
 	}
-	if err := run([]string{"-shard", "1/4", "-merge", "x.json", "y.json"}, &out); err == nil || !strings.Contains(err.Error(), "mutually exclusive") {
-		t.Errorf("-shard with -merge accepted: %v", err)
+	if err := run([]string{"-merge", "x.json", "a.jsonl", "b.jsonl"}, &out); err == nil || !strings.Contains(err.Error(), "exactly one") {
+		t.Errorf("merge of two streams accepted: %v", err)
 	}
-	if err := run([]string{"-merge", "onlyspec.json"}, &out); err == nil {
-		t.Error("merge without shard reports accepted")
-	}
-	if err := run([]string{"-merge", "-csv", "rows.csv", "x.json", "y.json"}, &out); err == nil || !strings.Contains(err.Error(), "not supported with -merge") {
+	if err := run([]string{"-merge", "-csv", "rows.csv", "x.json", "y.jsonl"}, &out); err == nil || !strings.Contains(err.Error(), "not supported with -merge") {
 		t.Errorf("-merge with -csv accepted: %v", err)
 	}
-	if err := run([]string{"-merge", "-progress", "x.json", "y.json"}, &out); err == nil || !strings.Contains(err.Error(), "not supported with -merge") {
+	if err := run([]string{"-merge", "-progress", "x.json", "y.jsonl"}, &out); err == nil || !strings.Contains(err.Error(), "not supported with -merge") {
 		t.Errorf("-merge with -progress accepted: %v", err)
+	}
+	if err := run([]string{"-merge", "-progressive", "x.json", "y.jsonl"}, &out); err == nil || !strings.Contains(err.Error(), "incompatible with -merge") {
+		t.Errorf("-merge with -progressive accepted: %v", err)
+	}
+	if err := run([]string{"-shard", "1/4", filepath.Join("testdata", "grid_small.json")}, &out); err == nil {
+		t.Error("retired -shard flag accepted")
 	}
 }
 
-// TestShardedJSONLStreamsOwnedOnly: helper goldens execute in several
-// shards, but the concatenated per-shard JSONL streams must carry each
-// scenario — and each comparison — exactly once, matching the merged
-// report.
-func TestShardedJSONLStreamsOwnedOnly(t *testing.T) {
-	grid := filepath.Join("testdata", "grid_shard.json")
-	dir := t.TempDir()
-	scenarios := map[string]int{}
-	compares := map[string]int{}
-	for i := 1; i <= 2; i++ {
-		rows := filepath.Join(dir, fmt.Sprintf("rows%d.jsonl", i))
-		var out strings.Builder
-		if err := run([]string{"-grid", "-shard", fmt.Sprintf("%d/2", i), "-jsonl", rows, grid}, &out); err != nil {
-			t.Fatalf("shard %d: %v", i, err)
-		}
-		data, err := os.ReadFile(rows)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
-			row, err := offramps.ParseStreamRow([]byte(line))
-			if err != nil {
-				t.Fatalf("bad row %q: %v", line, err)
-			}
-			if row.Name != "" {
-				scenarios[row.Name]++
-			} else {
-				compares[row.Key]++
-			}
-		}
+// TestRunRejectsWideGrid: a grid whose seed axis spans all of uint64 is
+// refused with an error naming its size, before anything is expanded.
+func TestRunRejectsWideGrid(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "grid_wide.json")
+	wide := `{"name":"wide","axes":{"seeds":{"from":0,"to":18446744073709551615}}}`
+	if err := os.WriteFile(path, []byte(wide), 0o644); err != nil {
+		t.Fatal(err)
 	}
-	if len(scenarios) != 5 {
-		t.Errorf("distinct scenarios streamed = %d, want 5", len(scenarios))
-	}
-	for name, n := range scenarios {
-		if n != 1 {
-			t.Errorf("scenario %q streamed %d times across shards", name, n)
-		}
-	}
-	for key, n := range compares {
-		if n != 1 {
-			t.Errorf("comparison %q streamed %d times across shards", key, n)
+	var out strings.Builder
+	for _, args := range [][]string{{path}, {"-progressive", path}} {
+		if err := run(args, &out); err == nil || !strings.Contains(err.Error(), "cells") {
+			t.Errorf("suite %v: err = %v, want the cell cap", args, err)
 		}
 	}
 }
 
 // TestMergePerTapComparisons: two comparisons of the same scenario pair
 // that differ only in tap (the attestation-style §V-D pattern) must
-// survive the shard→merge round trip as distinct rows, byte-identical
-// to the unsharded report.
+// survive the stream→merge round trip as distinct rows, byte-identical
+// to the live report.
 func TestMergePerTapComparisons(t *testing.T) {
-	spec := filepath.Join("testdata", "pertap_compare.json")
-	dir := t.TempDir()
-	full := filepath.Join(dir, "full.json")
-	var out strings.Builder
-	if err := run([]string{"-json", full, spec}, &out); err != nil {
-		t.Fatal(err)
+	live, restitched, _ := runAndRestitch(t, filepath.Join("testdata", "pertap_compare.json"))
+	if !bytes.Equal(restitched, live) {
+		t.Errorf("per-tap restitched report differs from the live run")
 	}
-	mergeArgs := []string{"-merge", "-json", filepath.Join(dir, "merged.json"), spec}
-	for i := 1; i <= 2; i++ {
-		shardOut := filepath.Join(dir, fmt.Sprintf("shard%d.json", i))
-		if err := run([]string{"-shard", fmt.Sprintf("%d/2", i), "-json", shardOut, spec}, &out); err != nil {
-			t.Fatalf("shard %d: %v", i, err)
-		}
-		mergeArgs = append(mergeArgs, shardOut)
-	}
-	if err := run(mergeArgs, &out); err != nil {
-		t.Fatalf("merge: %v", err)
-	}
-	want, err := os.ReadFile(full)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := os.ReadFile(filepath.Join(dir, "merged.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Errorf("per-tap merged report differs from the unsharded run")
-	}
-	if !strings.Contains(string(want), `"suspectTap": "ramps"`) {
-		t.Errorf("comparison rows do not carry their tap:\n%s", want)
+	if !strings.Contains(string(live), `"suspectTap": "ramps"`) {
+		t.Errorf("comparison rows do not carry their tap:\n%s", live)
 	}
 }
 

@@ -1,32 +1,28 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
-	"strings"
 
 	"offramps"
 )
 
-// Shard merging. Each shard ran a disjoint, hash-keyed slice of one
-// suite and wrote either a normal -json report or a -jsonl stream
-// containing only its owned scenarios and comparisons. The merge
-// re-expands the suite (or grid) to recover the canonical scenario
-// order, stitches the shard rows back into that order (StitchReport),
+// Restitching. A -jsonl stream, or a farm coordinator's journal, carries
+// every scenario and comparison row of a run, in completion order. The
+// merge re-expands the suite (or grid) to recover the canonical scenario
+// order, stitches the stream's rows back into that order (StitchReport),
 // and re-emits through the same JSON encoder the live path uses
-// (EncodeReport) — so the merged report is byte-identical to an
-// unsharded run of the same suite and seeds. Rows are carried as raw
+// (EncodeReport) — so the restitched report is byte-identical to the
+// -json report of the run that wrote the stream. Rows are carried as raw
 // JSON: the merge never re-simulates, re-parses floats, or reorders
-// keys. A farm coordinator's journal is a -jsonl stream too, so a
-// half-finished distributed sweep merges the same way once complete.
+// keys.
 
 func runMerge(grid bool, seed uint64, paths []string, jsonOut string, stdout io.Writer) error {
-	if len(paths) < 2 {
-		return fmt.Errorf("-merge needs the spec/grid file followed by at least one shard report or stream")
+	if len(paths) != 2 {
+		return fmt.Errorf("-merge needs the spec/grid file followed by exactly one -jsonl stream or farm journal")
 	}
-	suite, err := loadSuite(paths[0], grid)
+	suite, err := offramps.LoadSuiteOrGrid(paths[0], grid)
 	if err != nil {
 		return err
 	}
@@ -34,116 +30,35 @@ func runMerge(grid bool, seed uint64, paths []string, jsonOut string, stdout io.
 		suite.BaseSeed = seed
 	}
 
-	results := make(map[string]json.RawMessage)
-	compares := make(map[string]json.RawMessage)
-	for _, p := range paths[1:] {
-		if strings.HasSuffix(p, ".jsonl") {
-			err = mergeStream(p, suite, results, compares, stdout)
-		} else {
-			err = mergeReport(p, suite, results, compares)
-		}
-		if err != nil {
-			return err
-		}
+	stream := paths[1]
+	f, err := os.Open(stream)
+	if err != nil {
+		return fmt.Errorf("stream: %w", err)
+	}
+	ix, err := offramps.ReadResumeIndex(f, suite.Name)
+	f.Close()
+	if err != nil {
+		return fmt.Errorf("stream %s: %w", stream, err)
+	}
+	if err := ix.Validate(suite); err != nil {
+		return fmt.Errorf("stream %s: %w", stream, err)
+	}
+	if ix.Torn {
+		// An interrupted run's tail; the dropped row surfaces as a
+		// coverage gap in the stitch.
+		fmt.Fprintf(stdout, "note: %s ends in a torn line (dropped)\n", stream)
 	}
 
-	merged, err := offramps.StitchReport(suite, results, compares)
+	merged, err := offramps.StitchReport(suite, ix.Scenarios, ix.Compares)
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(stdout, "merged %d shard inputs of suite %s: %d scenarios, %d comparisons\n",
-		len(paths)-1, suite.Name, len(merged.Results), len(merged.Comparisons))
+	fmt.Fprintf(stdout, "restitched suite %s from %s: %d scenarios, %d comparisons\n",
+		suite.Name, stream, len(merged.Results), len(merged.Comparisons))
 	if jsonOut != "" {
 		if err := writeJSONDoc(jsonOut, stdout, offramps.RawReportDoc{Suites: []offramps.RawSuiteReport{*merged}}); err != nil {
 			return fmt.Errorf("json: %w", err)
 		}
 	}
 	return merged.FirstError()
-}
-
-// mergeStream folds one -jsonl shard stream (or farm journal) into the
-// row maps. The resume index already drops in-stream duplicate rows
-// (deterministic repeats); across files an overlap is still an error —
-// two shards claiming one scenario means the shard math was wrong.
-func mergeStream(path string, suite *offramps.SuiteSpec, results, compares map[string]json.RawMessage, stdout io.Writer) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return fmt.Errorf("shard stream: %w", err)
-	}
-	ix, err := offramps.ReadResumeIndex(f, suite.Name)
-	f.Close()
-	if err != nil {
-		return fmt.Errorf("shard stream %s: %w", path, err)
-	}
-	if err := ix.Validate(suite); err != nil {
-		return fmt.Errorf("shard stream %s: %w", path, err)
-	}
-	if ix.Torn {
-		// An interrupted run's tail; the dropped row surfaces as a
-		// coverage gap in the stitch if no other input carries it.
-		fmt.Fprintf(stdout, "note: %s ends in a torn line (dropped)\n", path)
-	}
-	for name, raw := range ix.Scenarios {
-		if _, dup := results[name]; dup {
-			return fmt.Errorf("scenario %q appears in more than one shard input (overlapping shards?)", name)
-		}
-		results[name] = raw
-	}
-	for key, raw := range ix.Compares {
-		if _, dup := compares[key]; dup {
-			parts := strings.Split(key, "\x00")
-			return fmt.Errorf("comparison %s vs %s appears in more than one shard input", parts[0], parts[2])
-		}
-		compares[key] = raw
-	}
-	return nil
-}
-
-// mergeReport folds one -json shard report into the row maps.
-func mergeReport(path string, suite *offramps.SuiteSpec, results, compares map[string]json.RawMessage) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return fmt.Errorf("shard report: %w", err)
-	}
-	var doc offramps.RawReportDoc
-	if err := json.Unmarshal(data, &doc); err != nil {
-		return fmt.Errorf("shard report %s: %w", path, err)
-	}
-	if len(doc.Suites) != 1 {
-		return fmt.Errorf("shard report %s: want exactly one suite, got %d", path, len(doc.Suites))
-	}
-	rs := doc.Suites[0]
-	if rs.Suite != suite.Name {
-		return fmt.Errorf("shard report %s is for suite %q, not %q", path, rs.Suite, suite.Name)
-	}
-	if rs.BaseSeed != suite.BaseSeed {
-		return fmt.Errorf("shard report %s ran base seed %d, not %d (same -seed for every shard and the merge)", path, rs.BaseSeed, suite.BaseSeed)
-	}
-	for _, raw := range rs.Results {
-		var head struct{ Name string }
-		if err := json.Unmarshal(raw, &head); err != nil || head.Name == "" {
-			return fmt.Errorf("shard report %s: unreadable scenario row %s", path, raw)
-		}
-		if _, dup := results[head.Name]; dup {
-			return fmt.Errorf("scenario %q appears in more than one shard input (overlapping shards?)", head.Name)
-		}
-		results[head.Name] = raw
-	}
-	for _, raw := range rs.Comparisons {
-		var head struct {
-			Golden     string `json:"golden"`
-			Suspect    string `json:"suspect"`
-			GoldenTap  string `json:"goldenTap"`
-			SuspectTap string `json:"suspectTap"`
-		}
-		if err := json.Unmarshal(raw, &head); err != nil || head.Suspect == "" {
-			return fmt.Errorf("shard report %s: unreadable comparison row %s", path, raw)
-		}
-		key := offramps.CompareKey(head.Golden, head.GoldenTap, head.Suspect, head.SuspectTap)
-		if _, dup := compares[key]; dup {
-			return fmt.Errorf("comparison %s vs %s appears in more than one shard input", head.Golden, head.Suspect)
-		}
-		compares[key] = raw
-	}
-	return nil
 }

@@ -41,11 +41,11 @@
 // Everything above the testbed is built for scale on one invariant:
 // simulation is deterministic, so a scenario's result — and its
 // serialized report row — is a pure function of its spec and seed.
-// GridSpec expands compact axis sweeps into validated suites;
-// FNV-1a-per-name sharding (suite -shard/-merge) and the distributed
-// farm (internal/farm: HTTP lease queue, resumable JSONL journal,
-// StitchReport) both reassemble reports byte-identical to an
-// uninterrupted single-process run. Goldens are memoized in a layered
+// GridSpec expands compact axis sweeps into validated suites. The
+// distributed farm (internal/farm: HTTP lease queue, resumable JSONL
+// journal) splits a sweep across machines, and StitchReport (behind the
+// farm and `suite -merge`) reassembles streamed rows into a report
+// byte-identical to an uninterrupted single-process run. Goldens are memoized in a layered
 // repository — in-process LRU (GoldenCache) over a persistent
 // content-addressed disk store (internal/goldenstore). Every suite runs
 // through one executor, RunSuiteProgressive, fed by the scheduler

@@ -4,11 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"hash/fnv"
+	"math/big"
 	"os"
 	"path"
 	"path/filepath"
-	"strconv"
 	"strings"
 
 	"offramps/internal/sched"
@@ -21,10 +20,9 @@ import (
 // ScenarioSpecs, minus include/exclude filters. Expansion is
 // deterministic and ordered: the same grid file always produces the same
 // suite, scenario for scenario, byte for byte. That determinism is what
-// makes the second half of this file sound: every expanded scenario has
-// a stable shard key (an FNV-1a hash of its name), so `suite -shard i/N`
-// runs a disjoint, reproducible slice of the sweep and a merged set of
-// shard reports is byte-identical to the unsharded run.
+// lets a farm coordinator deal the suite's scenario names out one lease
+// at a time (Subset) and restitch the rows into a report byte-identical
+// to a local run.
 
 // ProgramAxis is one value of the programs axis: a ProgramSpec plus an
 // optional display label overriding the derived one.
@@ -60,30 +58,46 @@ type SeedAxis struct {
 	Delta  bool     `json:"delta,omitempty"`
 }
 
-// expand materializes the axis values.
-func (a *SeedAxis) expand() ([]uint64, error) {
+// count returns how many values the axis yields, without materializing
+// them. A range's count can be 2^64, one past uint64, hence the big.Int.
+func (a *SeedAxis) count() (*big.Int, error) {
 	if len(a.Values) > 0 {
 		if a.From != 0 || a.To != 0 || a.Step != 0 {
 			return nil, fmt.Errorf("seed axis sets both values and a range")
 		}
-		return a.Values, nil
-	}
-	step := a.Step
-	if step == 0 {
-		step = 1
+		return big.NewInt(int64(len(a.Values))), nil
 	}
 	if a.To < a.From {
 		return nil, fmt.Errorf("seed axis range [%d, %d] is empty", a.From, a.To)
 	}
-	var out []uint64
-	for v := a.From; v <= a.To; v += step {
-		out = append(out, v)
-		if v > v+step { // overflow guard
-			break
-		}
-	}
-	return out, nil
+	n := new(big.Int).SetUint64((a.To - a.From) / a.step())
+	return n.Add(n, big.NewInt(1)), nil
 }
+
+func (a *SeedAxis) step() uint64 {
+	if a.Step == 0 {
+		return 1
+	}
+	return a.Step
+}
+
+// expand materializes the axis values. Callers bound count first; the
+// i-th range value From+i·step never passes To, so it cannot overflow.
+func (a *SeedAxis) expand(count int) []uint64 {
+	if len(a.Values) > 0 {
+		return a.Values
+	}
+	out := make([]uint64, count)
+	for i := range out {
+		out[i] = a.From + uint64(i)*a.step()
+	}
+	return out
+}
+
+// maxGridCells caps a grid's full cross-product, filters not yet
+// applied: big enough for million-scenario sweeps, small enough that a
+// typo in a seed range fails with an error instead of exhausting memory.
+const maxGridCells = 1 << 20
 
 // GridAxes are the sweep dimensions. An absent axis contributes no
 // label and leaves the template's value in place; a present axis
@@ -392,6 +406,14 @@ func (g *GridSpec) axes() ([]gridAxis, error) {
 		}
 		out[4] = ax
 	}
+	// Bound the cross-product arithmetically before the seed axis, the
+	// one axis a few bytes of JSON can make astronomically long, is
+	// materialized.
+	cells := big.NewInt(1)
+	for _, ax := range out[:5] {
+		cells.Mul(cells, big.NewInt(int64(len(ax.values))))
+	}
+	seeds := 1
 	if g.Axes.Seeds != nil {
 		if err := conflict("seeds", "seed/seedDelta", g.Template.Seed != 0 || g.Template.SeedDelta != 0); err != nil {
 			return nil, err
@@ -399,12 +421,19 @@ func (g *GridSpec) axes() ([]gridAxis, error) {
 		if g.SeedPolicy != nil {
 			return nil, fmt.Errorf("offramps: grid %q: seedPolicy conflicts with a seeds axis", g.Name)
 		}
-		vals, err := g.Axes.Seeds.expand()
+		n, err := g.Axes.Seeds.count()
 		if err != nil {
 			return nil, fmt.Errorf("offramps: grid %q: %w", g.Name, err)
 		}
+		cells.Mul(cells, n)
+		seeds = int(n.Int64()) // only read when cells is within the cap
+	}
+	if cells.Cmp(big.NewInt(maxGridCells)) > 0 {
+		return nil, fmt.Errorf("offramps: grid %q expands to %s cells, over the %d-cell cap", g.Name, cells, maxGridCells)
+	}
+	if g.Axes.Seeds != nil {
 		ax := gridAxis{key: "seed", present: true}
-		for _, v := range vals {
+		for _, v := range g.Axes.Seeds.expand(seeds) {
 			v := v
 			if g.Axes.Seeds.Delta {
 				ax.values = append(ax.values, axisValue{fmt.Sprintf("d%d", v), func(s *ScenarioSpec) { s.SeedDelta = v }})
@@ -634,117 +663,27 @@ func LoadSuiteOrGridLayout(path string, forceGrid bool) (*SuiteSpec, *sched.Grid
 	return s, layout, nil
 }
 
-// ---------------------------------------------------------------------------
-// Sharding: a stable key per scenario partitions a suite into disjoint,
-// reproducible slices for CI matrix fan-out and remote execution.
-
-// ShardOf returns the 0-based shard that owns the named scenario among
-// count shards. The key is an FNV-1a hash of the scenario name, so a
-// scenario's shard never depends on expansion order — reordering or
-// filtering a grid does not reshuffle the slices.
-//
-// Static shards and the farm's dynamic lease queue (internal/farm) are
-// two partitions of the same name space: `suite -shard i/N` fixes the
-// partition up front by this hash, while a farm coordinator hands out
-// the very same scenario names one lease at a time. Either way each
-// name runs exactly once, carries its golden closure (Subset), and the
-// stitched reports are byte-identical — `gridgen -names -shard i/N`
-// previews the static slices, `gridgen -names` lists the farm queue's
-// seed order.
-func ShardOf(name string, count int) int {
-	h := fnv.New64a()
-	h.Write([]byte(name))
-	return int(h.Sum64() % uint64(count))
-}
-
-// ParseShard parses the "i/N" shard notation (1-based index). The whole
-// string must be the pattern — trailing garbage ("2/4x", "1/4/8") is an
-// error, not a silently truncated slice.
-func ParseShard(s string) (index, count int, err error) {
-	a, b, ok := strings.Cut(s, "/")
-	if ok {
-		var ia, ib int
-		if ia, err = strconv.Atoi(a); err == nil {
-			if ib, err = strconv.Atoi(b); err == nil {
-				index, count = ia, ib
-			}
-		}
-	}
-	if !ok || err != nil {
-		return 0, 0, fmt.Errorf("offramps: shard must be \"i/N\", got %q", s)
-	}
-	if count < 1 || index < 1 || index > count {
-		return 0, 0, fmt.Errorf("offramps: shard %d/%d out of range", index, count)
-	}
-	return index, count, nil
-}
-
-// SuiteShard is one runnable slice of a suite. Spec contains the owned
-// scenarios plus any helper scenarios they depend on (golden references
-// of owned detectors and owned comparisons, transitively); Owned marks
-// the scenarios whose results belong in this shard's report — helpers
-// execute but are reported by the shard that owns them.
-type SuiteShard struct {
-	Spec  *SuiteSpec
-	Owned map[string]bool
-}
-
-// Shard slices the suite into shard index (1-based) of count. The owned
-// sets of the count shards partition the suite's scenarios exactly;
-// comparisons are owned by their suspect's shard. Helper goldens may run
-// in several shards — the golden cache makes the repeats cheap and
-// determinism makes them bit-identical — so merged shard reports equal
-// the unsharded run.
-func (s *SuiteSpec) Shard(index, count int) (*SuiteShard, error) {
+// Subset returns the runnable sub-suite for one named scenario: the
+// scenario itself plus its golden closure (golden references of its
+// detector and of the comparisons it is the suspect of, transitively) as
+// helper runs, and exactly those comparisons. A farm worker
+// (internal/farm) runs the Subset of the one scenario it leased and keeps
+// that scenario's row; the helper goldens' rows belong to their own
+// leases.
+func (s *SuiteSpec) Subset(name string) (*SuiteSpec, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	if count < 1 || index < 1 || index > count {
-		return nil, fmt.Errorf("offramps: shard %d/%d out of range", index, count)
-	}
-	var names []string
-	for _, sc := range s.Scenarios {
-		if ShardOf(sc.Name, count) == index-1 {
-			names = append(names, sc.Name)
-		}
-	}
-	return s.Subset(names...)
-}
-
-// Subset returns the runnable slice of the suite owning exactly the
-// named scenarios: the sub-suite contains them plus their golden
-// closure (golden references of owned detectors and owned comparisons,
-// transitively) as helper runs, and the owned comparisons are the ones
-// whose suspect is named. This is the closure logic both distribution
-// mechanisms share: Shard calls it with a hash-keyed slice, and a farm
-// worker (internal/farm) calls it with the single scenario name it
-// leased, so a lease carries its helper golden runs the same way a
-// static shard does.
-func (s *SuiteSpec) Subset(names ...string) (*SuiteShard, error) {
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	known := make(map[string]bool, len(s.Scenarios))
-	for _, sc := range s.Scenarios {
-		known[sc.Name] = true
-	}
-	owned := make(map[string]bool, len(names))
-	for _, name := range names {
-		if !known[name] {
-			return nil, fmt.Errorf("offramps: suite %q has no scenario %q", s.Name, name)
-		}
-		owned[name] = true
+	if _, ok := s.FindScenario(name); !ok {
+		return nil, fmt.Errorf("offramps: suite %q has no scenario %q", s.Name, name)
 	}
 
-	// need = owned ∪ golden closure. A needed scenario's own detector may
-	// reference another golden, so iterate to a fixpoint.
-	need := make(map[string]bool, len(owned))
-	for name := range owned {
-		need[name] = true
-	}
+	// need = the scenario ∪ its golden closure. A needed scenario's own
+	// detector may reference another golden, so iterate to a fixpoint.
+	need := map[string]bool{name: true}
 	var compares []CompareSpec
 	for _, cmp := range s.Compare {
-		if owned[cmp.Suspect] {
+		if cmp.Suspect == name {
 			compares = append(compares, cmp)
 			need[cmp.Golden] = true
 		}
@@ -772,22 +711,5 @@ func (s *SuiteSpec) Subset(names ...string) (*SuiteShard, error) {
 			sub.Scenarios = append(sub.Scenarios, sc)
 		}
 	}
-	return &SuiteShard{Spec: sub, Owned: owned}, nil
-}
-
-// Filter reduces a report of the shard's Spec to the owned scenarios,
-// preserving order. Comparisons are already shard-local.
-func (sh *SuiteShard) Filter(rep *SuiteReport) *SuiteReport {
-	out := &SuiteReport{
-		Suite:       rep.Suite,
-		BaseSeed:    rep.BaseSeed,
-		Results:     make([]ScenarioResult, 0, len(sh.Owned)),
-		Comparisons: rep.Comparisons,
-	}
-	for _, r := range rep.Results {
-		if sh.Owned[r.Name] {
-			out.Results = append(out.Results, r)
-		}
-	}
-	return out
+	return sub, nil
 }

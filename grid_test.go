@@ -3,6 +3,8 @@ package offramps
 import (
 	"context"
 	"encoding/json"
+	"math"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -34,8 +36,8 @@ func testGrid() *GridSpec {
 }
 
 // TestGridExpandDeterministic expands the same grid twice and requires
-// identical suites — scenario for scenario and byte for byte. The whole
-// shard/merge machinery rests on this property.
+// identical suites — scenario for scenario and byte for byte. The farm's
+// lease queue and the -merge restitch rest on this property.
 func TestGridExpandDeterministic(t *testing.T) {
 	a, err := testGrid().Expand()
 	if err != nil {
@@ -218,6 +220,55 @@ func TestSeedAxis(t *testing.T) {
 	}
 }
 
+// wideSeedGrid is a one-line grid file whose seed axis spans all 2^64
+// seeds; it must fail with an error, not exhaust memory materializing
+// the range.
+const wideSeedGrid = `{"name":"wide","axes":{"seeds":{"from":0,"to":18446744073709551615}}}`
+
+// TestGridCellCap: a grid's size is computed arithmetically and bounded
+// before any axis is materialized, across every front-end loader.
+func TestGridCellCap(t *testing.T) {
+	g, err := ParseGridSpec([]byte(wideSeedGrid), "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := g.Expand(); err == nil || !strings.Contains(err.Error(), "18446744073709551616 cells") {
+		t.Errorf("wide seed axis: err = %v, want the cell count named", err)
+	}
+	path := filepath.Join(t.TempDir(), "grid_wide.json")
+	if err := os.WriteFile(path, []byte(wideSeedGrid), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadSuiteOrGrid(path, false); err == nil {
+		t.Error("LoadSuiteOrGrid accepted the wide grid")
+	}
+	if _, _, err := LoadSuiteOrGridLayout(path, false); err == nil {
+		t.Error("LoadSuiteOrGridLayout accepted the wide grid")
+	}
+
+	// The cap bounds the whole product, not each axis: 12 cells times a
+	// seed axis just over cap/12 is rejected.
+	g = testGrid()
+	g.SeedPolicy = nil
+	g.Axes.Seeds = &SeedAxis{From: 1, To: maxGridCells/12 + 1}
+	if _, err := g.Expand(); err == nil || !strings.Contains(err.Error(), "cap") {
+		t.Errorf("product over the cap accepted: %v", err)
+	}
+
+	// A range ending at the top of uint64 steps without wrapping around.
+	g.Axes.Seeds = &SeedAxis{From: math.MaxUint64 - 5, To: math.MaxUint64, Step: 4}
+	suite, err := g.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := []uint64{suite.Scenarios[1].Seed, suite.Scenarios[2].Seed}; !reflect.DeepEqual(got, []uint64{math.MaxUint64 - 5, math.MaxUint64 - 1}) {
+		t.Errorf("top-of-range seeds = %v", got)
+	}
+	if got, want := len(suite.Scenarios), 1+12*2; got != want {
+		t.Errorf("scenarios = %d, want %d", got, want)
+	}
+}
+
 // TestParseGridSpecStrict mirrors the suite parser's strictness: unknown
 // fields and trailing content fail loudly.
 func TestParseGridSpecStrict(t *testing.T) {
@@ -226,95 +277,6 @@ func TestParseGridSpecStrict(t *testing.T) {
 	}
 	if _, err := ParseGridSpec([]byte(`{"name":"g","axes":{}} {"second":true}`), ""); err == nil || !strings.Contains(err.Error(), "trailing content") {
 		t.Errorf("trailing content accepted: %v", err)
-	}
-}
-
-// TestShardPartitionExact is the sharding property test: for every shard
-// count, the owned sets partition the suite's scenarios exactly — every
-// scenario in exactly one shard — and comparisons follow their suspect.
-func TestShardPartitionExact(t *testing.T) {
-	suite, err := testGrid().Expand()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for count := 1; count <= 5; count++ {
-		ownedBy := make(map[string]int)
-		compareCount := 0
-		for index := 1; index <= count; index++ {
-			sh, err := suite.Shard(index, count)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for name := range sh.Owned {
-				if prev, dup := ownedBy[name]; dup {
-					t.Errorf("count=%d: %q owned by shards %d and %d", count, name, prev, index)
-				}
-				ownedBy[name] = index
-			}
-			// Every owned scenario is in the shard's spec; every compare's
-			// suspect is owned and its golden is present.
-			inSpec := make(map[string]bool)
-			for _, sc := range sh.Spec.Scenarios {
-				inSpec[sc.Name] = true
-			}
-			for name := range sh.Owned {
-				if !inSpec[name] {
-					t.Errorf("count=%d shard %d: owned %q missing from spec", count, index, name)
-				}
-			}
-			for _, cmp := range sh.Spec.Compare {
-				if !sh.Owned[cmp.Suspect] {
-					t.Errorf("count=%d shard %d: compare suspect %q not owned", count, index, cmp.Suspect)
-				}
-				if !inSpec[cmp.Golden] {
-					t.Errorf("count=%d shard %d: compare golden %q not in spec", count, index, cmp.Golden)
-				}
-			}
-			compareCount += len(sh.Spec.Compare)
-		}
-		if len(ownedBy) != len(suite.Scenarios) {
-			t.Errorf("count=%d: %d scenarios owned, want %d", count, len(ownedBy), len(suite.Scenarios))
-		}
-		if compareCount != len(suite.Compare) {
-			t.Errorf("count=%d: %d compares across shards, want %d", count, compareCount, len(suite.Compare))
-		}
-	}
-	if _, err := suite.Shard(0, 4); err == nil {
-		t.Error("shard 0/4 accepted")
-	}
-	if _, err := suite.Shard(5, 4); err == nil {
-		t.Error("shard 5/4 accepted")
-	}
-}
-
-// TestShardGoldenClosure: a live detector's golden reference must travel
-// with its scenario even when the golden hashes into another shard.
-func TestShardGoldenClosure(t *testing.T) {
-	suite := &SuiteSpec{
-		Name: "closure",
-		Scenarios: []ScenarioSpec{
-			{Name: "root"},
-			{Name: "mid", Detector: &DetectorSpec{Name: "golden-monitor", Golden: "root"}},
-			{Name: "leaf", Detector: &DetectorSpec{Name: "golden-monitor", Golden: "mid"}},
-		},
-	}
-	for count := 2; count <= 4; count++ {
-		for index := 1; index <= count; index++ {
-			sh, err := suite.Shard(index, count)
-			if err != nil {
-				t.Fatal(err)
-			}
-			inSpec := make(map[string]bool)
-			for _, sc := range sh.Spec.Scenarios {
-				inSpec[sc.Name] = true
-			}
-			if sh.Owned["leaf"] && (!inSpec["mid"] || !inSpec["root"]) {
-				t.Errorf("count=%d shard %d owns leaf but lacks its golden chain: %v", count, index, inSpec)
-			}
-			if sh.Owned["mid"] && !inSpec["root"] {
-				t.Errorf("count=%d shard %d owns mid but lacks root", count, index)
-			}
-		}
 	}
 }
 
@@ -334,67 +296,22 @@ func TestSubset(t *testing.T) {
 			{Golden: "root", Suspect: "mid"},
 		},
 	}
-	sh, err := suite.Subset("leaf")
+	sub, err := suite.Subset("leaf")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(sh.Owned) != 1 || !sh.Owned["leaf"] {
-		t.Errorf("Owned = %v, want just leaf", sh.Owned)
+	if got := sub.ScenarioNames(); !reflect.DeepEqual(got, []string{"root", "mid", "leaf"}) {
+		t.Errorf("sub-suite scenarios = %v, want the golden chain in suite order", got)
 	}
-	inSpec := make(map[string]bool)
-	for _, sc := range sh.Spec.Scenarios {
-		inSpec[sc.Name] = true
+	if len(sub.Compare) != 1 || sub.Compare[0].Suspect != "leaf" {
+		t.Errorf("sub-suite compares = %v, want only leaf's", sub.Compare)
 	}
-	if !inSpec["leaf"] || !inSpec["mid"] || !inSpec["root"] {
-		t.Errorf("sub-suite lacks the golden chain: %v", inSpec)
-	}
-	if len(sh.Spec.Compare) != 1 || sh.Spec.Compare[0].Suspect != "leaf" {
-		t.Errorf("sub-suite compares = %v, want only leaf's", sh.Spec.Compare)
+	if sub, err := suite.Subset("root"); err != nil || len(sub.Scenarios) != 1 || len(sub.Compare) != 0 {
+		t.Errorf("Subset(root) = %+v, %v; want root alone", sub, err)
 	}
 
 	if _, err := suite.Subset("no-such"); err == nil {
 		t.Error("Subset of an unknown scenario accepted")
-	}
-	// An empty subset is a valid (empty) shard — Shard delegates here and
-	// a sweep can have more shards than scenarios.
-	if empty, err := suite.Subset(); err != nil || len(empty.Spec.Scenarios) != 0 {
-		t.Errorf("empty Subset = %v, %v; want an empty shard", empty, err)
-	}
-
-	// Subset and Shard agree: a shard's spec equals the Subset of its
-	// owned names (same closure, same canonical order).
-	full, err := testGrid().Expand()
-	if err != nil {
-		t.Fatal(err)
-	}
-	shard, err := full.Shard(1, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var owned []string
-	for _, sc := range full.Scenarios {
-		if shard.Owned[sc.Name] {
-			owned = append(owned, sc.Name)
-		}
-	}
-	viaSubset, err := full.Subset(owned...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(viaSubset.Spec.Scenarios) != len(shard.Spec.Scenarios) {
-		t.Errorf("Subset(%v) has %d scenarios, Shard has %d", owned, len(viaSubset.Spec.Scenarios), len(shard.Spec.Scenarios))
-	}
-}
-
-// TestParseShard checks the "i/N" notation.
-func TestParseShard(t *testing.T) {
-	if i, n, err := ParseShard("2/4"); err != nil || i != 2 || n != 4 {
-		t.Errorf("ParseShard(2/4) = %d %d %v", i, n, err)
-	}
-	for _, bad := range []string{"", "3", "0/4", "5/4", "a/b", "1/0", "-1/4", "2/4x", "1/2/3", " 1/2", "2 /4"} {
-		if _, _, err := ParseShard(bad); err == nil {
-			t.Errorf("ParseShard(%q) accepted", bad)
-		}
 	}
 }
 

@@ -18,7 +18,7 @@ import (
 )
 
 // farmGrid is a small sweep with helper goldens and comparisons — enough
-// structure that a lease's sub-suite (Subset) differs from its owned
+// structure that a lease's sub-suite (Subset) differs from its leased
 // scenario and the final report carries comparison rows.
 const farmGrid = `{
   "name": "farm-grid",

@@ -45,7 +45,7 @@ func HeartbeatInterval(ttl time.Duration) time.Duration {
 }
 
 // Worker is the stateless side of the farm: fetch the suite once, then
-// lease scenario names, recover each lease's sub-suite (owned scenario
+// lease scenario names, recover each lease's sub-suite (leased scenario
 // plus helper golden runs) via SuiteSpec.Subset, run it through the
 // ordinary campaign path, and stream the rows back. All state a worker
 // accumulates is its golden cache — kill it at any point and the lease
@@ -249,7 +249,7 @@ func (w *Worker) fail(ctx context.Context, lease *LeaseReply, cause error) {
 }
 
 // runOne runs a single leased scenario end to end: sub-suite, campaign,
-// filter to owned rows, encode as JSONL, complete. A scenario that
+// keep the leased row, encode as JSONL, complete. A scenario that
 // cannot run is reported as failed and does not error the worker.
 func (w *Worker) runOne(ctx context.Context, suite *offramps.SuiteSpec, cache *offramps.GoldenCache, lease *LeaseReply) error {
 	sub, err := suite.Subset(lease.Scenario)
@@ -283,15 +283,24 @@ func (w *Worker) runOne(ctx context.Context, suite *offramps.SuiteSpec, cache *o
 		}
 	}()
 
-	w.logf("running %q (%d scenario(s) incl. goldens)", lease.Scenario, len(sub.Spec.Scenarios))
+	w.logf("running %q (%d scenario(s) incl. goldens)", lease.Scenario, len(sub.Scenarios))
 	camp := offramps.Campaign{Cache: cache}
-	rep, runErr := camp.RunSuite(runCtx, sub.Spec)
+	rep, runErr := camp.RunSuite(runCtx, sub)
 	cancel()
 	<-hbDone
+	var row *offramps.ScenarioResult
 	if runErr == nil {
-		rep = sub.Filter(rep)
-		if len(rep.Results) != 1 {
-			runErr = fmt.Errorf("filtered report has %d owned rows, want 1", len(rep.Results))
+		// Keep the leased scenario's row; helper goldens' rows belong to
+		// their own leases. The sub-suite's comparisons are already only
+		// the leased scenario's.
+		for i := range rep.Results {
+			if rep.Results[i].Name == lease.Scenario {
+				row = &rep.Results[i]
+				break
+			}
+		}
+		if row == nil {
+			runErr = fmt.Errorf("report has no row for %q", lease.Scenario)
 		}
 	}
 	if runErr != nil {
@@ -320,7 +329,7 @@ func (w *Worker) runOne(ctx context.Context, suite *offramps.SuiteSpec, cache *o
 		req.Compares = append(req.Compares, append([]byte(nil), bytes.TrimRight(buf.Bytes(), "\n")...))
 	}
 	buf.Reset()
-	if err := sink.Emit(rep.Results[0]); err != nil {
+	if err := sink.Emit(*row); err != nil {
 		w.fail(ctx, lease, fmt.Errorf("encoding %q: %w", lease.Scenario, err))
 		return errScenarioFailed
 	}

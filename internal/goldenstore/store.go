@@ -99,7 +99,7 @@ type Store struct {
 	mu     sync.RWMutex
 	gen    string // active generation directory (absolute)
 	filter *bloom
-	count  int
+	count  int    // keys added to the filter since it was sized
 	cap    uint64 // filter's sized capacity, for regrow decisions
 	stats  Stats
 }
@@ -182,11 +182,15 @@ func (s *Store) Refresh() error {
 	return s.rescanLocked()
 }
 
-// Len reports the number of entries known to this process's snapshot.
-func (s *Store) Len() int {
+// Len counts the entries on disk in the active generation, other
+// processes' writes and not-yet-healed corrupt files included: the
+// entries a Rebuild would consider.
+func (s *Store) Len() (int, error) {
 	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.count
+	gen := s.gen
+	s.mu.RUnlock()
+	keys, err := scanKeys(gen)
+	return len(keys), err
 }
 
 // StatsSnapshot returns the traffic counters so far.

@@ -18,6 +18,15 @@ func testKey(b byte) Key {
 	return k
 }
 
+func storeLen(t *testing.T, s *Store) int {
+	t.Helper()
+	n, err := s.Len()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
 func TestStoreRoundTrip(t *testing.T) {
 	s, err := Open(t.TempDir())
 	if err != nil {
@@ -35,8 +44,8 @@ func TestStoreRoundTrip(t *testing.T) {
 	if !ok || !bytes.Equal(got, payload) {
 		t.Fatalf("Get = %q, %v; want payload, true", got, ok)
 	}
-	if s.Len() != 1 {
-		t.Errorf("Len = %d, want 1", s.Len())
+	if n := storeLen(t, s); n != 1 {
+		t.Errorf("Len = %d, want 1", n)
 	}
 	st := s.StatsSnapshot()
 	if st.Hits != 1 || st.Misses != 1 || st.Puts != 1 {
@@ -60,8 +69,8 @@ func TestStoreReopenSeesEntries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s2.Len() != 5 {
-		t.Fatalf("reopened Len = %d, want 5", s2.Len())
+	if n := storeLen(t, s2); n != 5 {
+		t.Fatalf("reopened Len = %d, want 5", n)
 	}
 	for b := byte(1); b <= 5; b++ {
 		got, ok := s2.Get(testKey(b))
@@ -142,6 +151,43 @@ func TestStoreCorruptEntryIsMiss(t *testing.T) {
 				t.Fatalf("healed entry not served: %q, %v", got, ok)
 			}
 		})
+	}
+}
+
+// TestStoreLenCountsDisk: Len counts entries on disk, so overwriting an
+// entry — a plain repeat Put, or the Put that heals an entry a corrupt
+// read just missed — does not count it twice. -golden-store-gc reports
+// its "dropped" figure from Len.
+func TestStoreLenCountsDisk(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := testKey(4)
+	payload := []byte("healed golden")
+	for i := 0; i < 2; i++ {
+		if err := s.Put(k, payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := storeLen(t, s); n != 1 {
+		t.Errorf("Len after a repeat Put = %d, want 1", n)
+	}
+	if err := os.WriteFile(filepath.Join(s.gen, k.filename()), []byte("torn"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := s.Get(k); ok {
+		t.Fatal("corrupt entry served")
+	}
+	if err := s.Put(k, payload); err != nil {
+		t.Fatal(err)
+	}
+	keys, err := s.Keys()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := storeLen(t, s); n != 1 || len(keys) != 1 {
+		t.Errorf("after a heal: Len = %d, Keys = %d; want 1 and 1", n, len(keys))
 	}
 }
 
@@ -242,8 +288,8 @@ func TestStoreRebuildAtomic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s2.Len() != 2 {
-		t.Errorf("reopened Len = %d, want 2", s2.Len())
+	if n := storeLen(t, s2); n != 2 {
+		t.Errorf("reopened Len = %d, want 2", n)
 	}
 	if _, err := os.Stat(filepath.Join(dir, "g000001")); !os.IsNotExist(err) {
 		t.Errorf("old generation not removed: %v", err)
@@ -292,8 +338,8 @@ func TestStoreRebuildUnderReaders(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
-	if s.Len() != keys {
-		t.Errorf("Len = %d after identity rebuilds, want %d", s.Len(), keys)
+	if n := storeLen(t, s); n != keys {
+		t.Errorf("Len = %d after identity rebuilds, want %d", n, keys)
 	}
 }
 

@@ -91,9 +91,8 @@ func (s *JSONLSink) Emit(r ScenarioResult) error {
 
 // EmitCompare writes one comparison row: {"suite", "compare": {...}}.
 // Comparison rows make a JSONL stream a *complete* record of a suite
-// run — `suite -merge` can restitch per-shard streams (and a farm
-// coordinator its journal) into a full report without the -json
-// intermediate. The embedded object is CompareResult's own JSON, so the
+// run — `suite -merge` can restitch a stream (and a farm coordinator
+// its journal) into a full report without the -json intermediate. The embedded object is CompareResult's own JSON, so the
 // stitched report is byte-identical to the live path's.
 func (s *JSONLSink) EmitCompare(c CompareResult) error {
 	row := struct {
@@ -213,13 +212,12 @@ func (s *ProgressSink) Emit(r ScenarioResult) error {
 func (s *ProgressSink) Close() error { return nil }
 
 // ---------------------------------------------------------------------------
-// Reading streams back: a JSONL stream written by JSONLSink (a shard's
+// Reading streams back: a JSONL stream written by JSONLSink (a run's
 // -jsonl output, a farm coordinator's journal) is a durable record of
 // which scenarios already ran. The resume index parses one, tolerating
 // the torn trailing line a crash leaves behind, so a restarted sweep
-// enqueues exactly the complement. StitchReport then reassembles rows —
-// from streams or from -json shard reports — into a report
-// byte-identical to an uninterrupted run.
+// enqueues exactly the complement. StitchReport then reassembles the
+// rows into a report byte-identical to an uninterrupted run.
 
 // CompareKey canonically keys one comparison by its scenario pair and
 // taps (per-tap comparisons of the same pair are distinct rows).
@@ -419,8 +417,8 @@ type RawReportDoc struct {
 }
 
 // EncodeReport writes a report document in the canonical indented form
-// every emitting path shares — live -json reports, shard merges, and
-// farm-stitched reports all produce their bytes here.
+// every emitting path shares — live -json reports, -merge restitches,
+// and farm-stitched reports all produce their bytes here.
 func EncodeReport(w io.Writer, doc any) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")

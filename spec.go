@@ -589,7 +589,7 @@ func (s *SuiteSpec) Validate() error {
 
 // CompareResult is one executed CompareSpec. The tap fields echo the
 // spec so a suite with several per-tap comparisons of the same scenario
-// pair stays distinguishable in reports (and mergeable across shards).
+// pair stays distinguishable in reports (and in restitched streams).
 type CompareResult struct {
 	Golden     string         `json:"golden"`
 	Suspect    string         `json:"suspect"`
