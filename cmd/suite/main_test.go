@@ -2,14 +2,19 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"offramps"
+	"offramps/internal/farm"
 )
 
 // repoRoot walks up from the test's working directory to the module root
@@ -218,6 +223,73 @@ func TestMergeFromJSONLStreams(t *testing.T) {
 			live, restitched, _ := runAndRestitch(t, grid, "-grid", "-seed", seed)
 			if !bytes.Equal(restitched, live) {
 				t.Errorf("restitched report is not byte-identical to the live run\nlive:        %d bytes\nrestitched: %d bytes", len(live), len(restitched))
+			}
+		})
+	}
+}
+
+// TestShardMergeByteIdentical is the sharding acceptance test: for base
+// seeds 1 and 7, the grid is split across two farm workers, one lease at
+// a time, and `suite -merge` restitches the coordinator's journal into a
+// report byte-identical to the unsharded `suite -json` run's.
+func TestShardMergeByteIdentical(t *testing.T) {
+	grid := filepath.Join("testdata", "grid_small.json")
+	for _, seed := range []uint64{1, 7} {
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			dir := t.TempDir()
+			full := filepath.Join(dir, "full.json")
+			var out strings.Builder
+			if err := run([]string{"-grid", "-seed", fmt.Sprint(seed), "-json", full, grid}, &out); err != nil {
+				t.Fatal(err)
+			}
+
+			spec, err := offramps.LoadSuiteOrGrid(grid, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			spec.BaseSeed = seed
+			journal := filepath.Join(dir, "sweep.jsonl")
+			co, err := farm.NewCoordinator(spec, farm.Config{TTL: 30 * time.Second, Journal: journal})
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv := httptest.NewServer(co.Handler())
+			var wg sync.WaitGroup
+			errs := make(chan error, 2)
+			for i := 0; i < 2; i++ {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					w := &farm.Worker{Client: &farm.Client{Base: srv.URL}, Name: fmt.Sprintf("w%d", i), Poll: 5 * time.Millisecond}
+					if _, err := w.Run(context.Background()); err != nil {
+						errs <- fmt.Errorf("worker %d: %w", i, err)
+					}
+				}(i)
+			}
+			wg.Wait()
+			srv.Close()
+			if err := co.Close(); err != nil {
+				t.Fatal(err)
+			}
+			close(errs)
+			for err := range errs {
+				t.Fatal(err)
+			}
+
+			merged := filepath.Join(dir, "merged.json")
+			if err := run([]string{"-grid", "-merge", "-seed", fmt.Sprint(seed), "-json", merged, grid, journal}, &out); err != nil {
+				t.Fatalf("merge: %v", err)
+			}
+			want, err := os.ReadFile(full)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := os.ReadFile(merged)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("merged report is not byte-identical to the unsharded run\nunsharded: %d bytes\nmerged:    %d bytes", len(want), len(got))
 			}
 		})
 	}

@@ -315,6 +315,66 @@ func TestSubset(t *testing.T) {
 	}
 }
 
+// TestShardGoldenClosure: a sweep is sharded one farm lease at a time,
+// and every golden a leased scenario depends on — through a detector
+// chain or a comparison — must travel with it. For every scenario of a
+// detector-chain suite and of the expanded property grid, the lease's
+// sub-suite keeps the scenario, resolves every golden it references, and
+// runs no scenario the lease does not need.
+func TestShardGoldenClosure(t *testing.T) {
+	chain := &SuiteSpec{
+		Name: "closure",
+		Scenarios: []ScenarioSpec{
+			{Name: "root"},
+			{Name: "mid", Detector: &DetectorSpec{Name: "golden-monitor", Golden: "root"}},
+			{Name: "leaf", Detector: &DetectorSpec{Name: "golden-monitor", Golden: "mid"}},
+			{Name: "other", Detector: &DetectorSpec{Name: "golden-monitor", Golden: "root"}},
+		},
+		Compare: []CompareSpec{{Golden: "mid", Suspect: "other"}},
+	}
+	grid, err := testGrid().Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, suite := range []*SuiteSpec{chain, grid} {
+		for _, name := range suite.ScenarioNames() {
+			sub, err := suite.Subset(name)
+			if err != nil {
+				t.Fatalf("%s: Subset(%s): %v", suite.Name, name, err)
+			}
+			if err := sub.Validate(); err != nil {
+				t.Errorf("%s: lease %s is not closed: %v", suite.Name, name, err)
+			}
+			roots := []string{name}
+			for _, cmp := range sub.Compare {
+				if cmp.Suspect != name {
+					t.Errorf("%s: lease %s carries comparison %s→%s", suite.Name, name, cmp.Golden, cmp.Suspect)
+				}
+				roots = append(roots, cmp.Golden)
+			}
+			need := make(map[string]bool)
+			for _, cur := range roots {
+				for cur != "" && !need[cur] {
+					need[cur] = true
+					sc, _ := suite.FindScenario(cur)
+					cur = ""
+					if sc.Detector != nil {
+						cur = sc.Detector.Golden
+					}
+				}
+			}
+			for _, sc := range sub.Scenarios {
+				if !need[sc.Name] {
+					t.Errorf("%s: lease %s runs unneeded scenario %s", suite.Name, name, sc.Name)
+				}
+			}
+			if _, ok := sub.FindScenario(name); !ok {
+				t.Errorf("%s: lease %s lacks its own scenario", suite.Name, name)
+			}
+		}
+	}
+}
+
 // TestGridTableIIMatchesExperiment runs the committed Table II grid file
 // and the hand-built TableIISuite under separate caches and requires the
 // comparison reports to be deeply identical: the grid reproduces the
