@@ -212,14 +212,19 @@ func (d *goldenDecoder) byte() byte {
 	return s[0]
 }
 
-// maxGoldenSlice bounds decoded element counts before allocation, so a
-// corrupt length prefix cannot ask for gigabytes. Real captures are
-// thousands of windows; deposits a few hundred thousand.
-const maxGoldenSlice = 1 << 26
+// Encoded element sizes: what one counted element occupies in the
+// payload.
+const (
+	goldenDepositSize     = 4 * 8 // X, Y, Z, Filament
+	goldenTransactionSize = 5 * 4 // Index, X, Y, Z, E
+)
 
-func (d *goldenDecoder) count() int {
+// count reads an element count and checks it against the payload bytes
+// left, so a corrupt length prefix can never allocate more than the
+// payload itself could hold.
+func (d *goldenDecoder) count(elemSize int) int {
 	n := d.u64()
-	if n > maxGoldenSlice {
+	if d.bad || n > uint64((len(d.b)-d.off)/elemSize) {
 		d.bad = true
 		return 0
 	}
@@ -256,15 +261,22 @@ func decodeGoldenResult(payload []byte) (*Result, error) {
 			return nil, fmt.Errorf("offramps: golden codec: %d step-loss axes", n)
 		}
 		res.StepsLost = make(map[signal.Axis]uint64, n)
+		prev := signal.Axis(-1)
 		for i := 0; i < n; i++ {
+			// The encoder writes known axes in ascending order; anything
+			// else would not survive a re-encode.
 			axis := signal.Axis(d.byte())
+			if axis <= prev || axis > signal.AxisE {
+				return nil, fmt.Errorf("offramps: golden codec: step-loss axis %d out of order", axis)
+			}
+			prev = axis
 			res.StepsLost[axis] = d.u64()
 		}
 	}
 
 	if d.boolByte() {
 		part := printer.NewPart(d.f64())
-		n := d.count()
+		n := d.count(goldenDepositSize)
 		for i := 0; i < n && !d.bad; i++ {
 			part.Add(printer.Deposit{X: d.f64(), Y: d.f64(), Z: d.f64(), Filament: d.f64()})
 		}
@@ -285,7 +297,7 @@ func decodeGoldenResult(payload []byte) (*Result, error) {
 				Period:    sim.Time(d.i64()),
 				StartedAt: sim.Time(d.i64()),
 			}
-			n := d.count()
+			n := d.count(goldenTransactionSize)
 			if !d.bad && n > 0 {
 				rec.Transactions = make([]capture.Transaction, n)
 				for i := range rec.Transactions {

@@ -2,12 +2,15 @@ package offramps
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"offramps/internal/capture"
 	"offramps/internal/detect"
+	"offramps/internal/printer"
 )
 
 // goldenResultForTest simulates one golden print and returns its result.
@@ -162,5 +165,52 @@ func TestGoldenCodecRejectsMalformed(t *testing.T) {
 	bad[0] ^= 0xff // version word
 	if _, err := decodeGoldenResult(bad); err == nil {
 		t.Error("foreign codec version decoded without error")
+	}
+}
+
+// hugeCountPayload is a 121-byte golden payload whose primary recording
+// declares 2^26 transactions: a well-formed header, no part, then an
+// inline recording with nothing after its count.
+func hugeCountPayload() []byte {
+	b := binary.LittleEndian.AppendUint32(nil, GoldenCodecVersion)
+	b = append(b, 1)                          // Completed
+	b = append(b, make([]byte, 8)...)         // Duration
+	b = append(b, make([]byte, 6*8)...)       // Quality
+	b = append(b, make([]byte, 2*8+1+2*8)...) // peak temps, safe flag, fan duties
+	b = append(b, 0, 0)                       // no step-loss axes, no part
+	b = append(b, slotInline)
+	b = append(b, make([]byte, 2*8)...) // Period, StartedAt
+	return binary.LittleEndian.AppendUint64(b, 1<<26)
+}
+
+// TestGoldenCodecCountBoundedByPayload: an element count is checked
+// against the bytes left before anything is allocated from it, so a
+// corrupt count in a tiny payload costs an error, not a 1.28 GB slice.
+func TestGoldenCodecCountBoundedByPayload(t *testing.T) {
+	payload := hugeCountPayload()
+	if len(payload) != 121 {
+		t.Fatalf("repro payload is %d bytes, want 121", len(payload))
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := decodeGoldenResult(payload)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("payload declaring 2^26 transactions in 0 bytes decoded without error")
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Errorf("rejecting the payload allocated %d bytes, want < 1 MiB", got)
+	}
+
+	// The same count in the deposit ledger's place.
+	res := &Result{Part: printer.NewPart(0.2)}
+	enc, err := encodeGoldenResult(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := len(enc) - 3 - 3 - 8 // before the empty ledger's count: 3 nil recordings, 3 nil fingerprints
+	binary.LittleEndian.PutUint64(enc[at:], 1<<26)
+	if _, err := decodeGoldenResult(enc); err == nil {
+		t.Error("payload declaring 2^26 deposits in 6 bytes decoded without error")
 	}
 }

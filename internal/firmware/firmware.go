@@ -61,12 +61,15 @@ type Firmware struct {
 }
 
 // fanGate ends a part-fan software-PWM window through the engine's
-// allocation-free fast path.
-type fanGate struct{ fw *Firmware }
+// allocation-free fast path; edge is its handle there.
+type fanGate struct {
+	fw   *Firmware
+	edge sim.Bound
+}
 
 // FireEdge implements sim.EdgeTarget: it drops the fan gate unless a newer
 // window has raised the duty to full.
-func (g *fanGate) FireEdge(uint64) {
+func (g *fanGate) FireEdge(uint32) {
 	if g.fw.fanDuty < 0.999 {
 		g.fw.fanLine.Set(signal.Low)
 	}
@@ -85,8 +88,8 @@ func New(engine *sim.Engine, bus *signal.Bus, cfg Config) (*Firmware, error) {
 		steps:  make(map[signal.Axis]int64, 4),
 		offset: make(map[signal.Axis]float64, 4),
 		rng:    sim.NewRand(cfg.Seed),
-		hotend: newHeater("hotend", bus.Line(signal.PinHotend), bus.ThermHotend, cfg.HotendMaxTemp, cfg.HotendPID, cfg),
-		bed:    newHeater("bed", bus.Line(signal.PinBed), bus.ThermBed, cfg.BedMaxTemp, cfg.BedPID, cfg),
+		hotend: newHeater(engine, "hotend", bus.Line(signal.PinHotend), bus.ThermHotend, cfg.HotendMaxTemp, cfg.HotendPID, cfg),
+		bed:    newHeater(engine, "bed", bus.Line(signal.PinBed), bus.ThermBed, cfg.BedMaxTemp, cfg.BedPID, cfg),
 		uart:   newUARTTx(engine, bus.Line(signal.PinUARTTx), cfg.UARTBaud),
 	}
 	fw.nextFn = fw.next
@@ -95,7 +98,8 @@ func New(engine *sim.Engine, bus *signal.Bus, cfg Config) (*Firmware, error) {
 	if fw.trains == nil {
 		fw.trains = NewTrainCache()
 	}
-	fw.fan = fanGate{fw: fw}
+	fw.fan.fw = fw
+	fw.fan.edge = engine.Bind(&fw.fan)
 	fw.fanLine = bus.Line(signal.PinFan)
 	return fw, nil
 }
@@ -406,8 +410,9 @@ func (fw *Firmware) executeMove(cmd gcode.Command) {
 			base:  base,
 			width: fw.cfg.StepPulseWidth,
 			n:     n,
+			edge:  t.edge,
 		}
-		fw.engine.ScheduleEdge(t.riseAt(0), t, trainRise)
+		fw.engine.ScheduleEdge(t.riseAt(0), t.edge, trainRise)
 		// Track believed position.
 		if pm.axes[i].negative {
 			fw.steps[a] -= int64(n)
@@ -444,7 +449,7 @@ func (fw *Firmware) drivePWM(h *heater) {
 		// The heater's FireEdge only drops the gate if a newer window
 		// hasn't raised the duty to full; the next window re-raises it
 		// anyway.
-		fw.engine.AfterEdge(onTime, h, 0)
+		fw.engine.AfterEdge(onTime, h.edge, 0)
 	}
 }
 
@@ -459,7 +464,7 @@ func (fw *Firmware) fanPWMTick(sim.Time) {
 	default:
 		fan.Set(signal.High)
 		onTime := sim.Time(float64(fw.cfg.FanPWMPeriod) * fw.fanDuty)
-		fw.engine.AfterEdge(onTime, &fw.fan, 0)
+		fw.engine.AfterEdge(onTime, fw.fan.edge, 0)
 	}
 }
 

@@ -39,10 +39,14 @@ type heater struct {
 
 	// killed latches after a protection trip: output forced off.
 	killed bool
+
+	// edge is the heater's handle on the engine's edge fast path, which
+	// ends each software-PWM window.
+	edge sim.Bound
 }
 
-func newHeater(name string, pin *signal.Line, analog *signal.Analog, maxTemp float64, gains PID, cfg Config) *heater {
-	return &heater{
+func newHeater(engine *sim.Engine, name string, pin *signal.Line, analog *signal.Analog, maxTemp float64, gains PID, cfg Config) *heater {
+	h := &heater{
 		name:          name,
 		pin:           pin,
 		analog:        analog,
@@ -55,6 +59,8 @@ func newHeater(name string, pin *signal.Line, analog *signal.Analog, maxTemp flo
 		watchIncrease: cfg.WatchIncrease,
 		watchMargin:   cfg.WatchMargin,
 	}
+	h.edge = engine.Bind(h)
+	return h
 }
 
 // sample reads the thermistor through the 10-bit ADC, exactly as the Mega
@@ -134,7 +140,7 @@ func (h *heater) control(now sim.Time, dt float64) error {
 
 // FireEdge implements sim.EdgeTarget: it ends a software-PWM window by
 // dropping the MOSFET gate, unless a newer window raised the duty to full.
-func (h *heater) FireEdge(uint64) {
+func (h *heater) FireEdge(uint32) {
 	if h.duty < 0.999 {
 		h.pin.Set(signal.Low)
 	}

@@ -7,7 +7,7 @@ import (
 
 // stepTrain.FireEdge arguments: which edge of the pulse to emit.
 const (
-	trainRise uint64 = iota
+	trainRise uint32 = iota
 	trainFall
 )
 
@@ -26,6 +26,11 @@ type stepTrain struct {
 	base  sim.Time // absolute move origin (DIR setup already honoured)
 	width sim.Time
 	k, n  int
+	// edge is the train's handle on the engine's edge fast path. It
+	// holds no pointer and survives release, so a pooled train binds
+	// once per engine epoch: on its first acquisition after the engine
+	// was created or Reset.
+	edge sim.Bound
 }
 
 // riseAt returns the absolute time of pulse k's rising edge — the same
@@ -38,7 +43,7 @@ func (t *stepTrain) riseAt(k int) sim.Time {
 // FireEdge implements sim.EdgeTarget. A rise drives the line High, books
 // the matching fall, and books the next pulse's rise; the final fall
 // recycles the train into the firmware's pool.
-func (t *stepTrain) FireEdge(arg uint64) {
+func (t *stepTrain) FireEdge(arg uint32) {
 	if arg == trainFall {
 		t.line.Set(signal.Low)
 		if t.k >= t.n {
@@ -56,38 +61,45 @@ func (t *stepTrain) FireEdge(arg uint64) {
 	}
 	t.line.Set(signal.High)
 	engine := t.fw.engine
-	engine.ScheduleEdge(engine.Now()+t.width, t, trainFall)
+	engine.ScheduleEdge(engine.Now()+t.width, t.edge, trainFall)
 	t.k++
 	if t.k < t.n {
-		engine.ScheduleEdge(t.riseAt(t.k), t, trainRise)
+		engine.ScheduleEdge(t.riseAt(t.k), t.edge, trainRise)
 	}
 }
 
 // TrainCache recycles step trains. Each firmware owns one by default;
 // a pooled testbed core (Config.Trains) shares a cache across the
 // sequential runs of one campaign worker, so a reused rig steps with
-// zero train allocations. Released trains are fully zeroed, so a cache
-// never pins a dead run's engine or firmware. Not safe for concurrent
-// use — one cache belongs to one worker at a time.
+// zero train allocations. Released trains are zeroed down to their
+// pointer-free engine handle, so a cache never pins a dead run's engine
+// or firmware. Not safe for concurrent use — one cache belongs to one
+// worker at a time.
 type TrainCache struct{ pool []*stepTrain }
 
 // NewTrainCache returns an empty cache.
 func NewTrainCache() *TrainCache { return &TrainCache{} }
 
-// acquireTrain takes a train from the pool or allocates one.
+// acquireTrain takes a train from the pool or allocates one, and binds
+// it to the firmware's engine unless its handle is still live there.
 func (fw *Firmware) acquireTrain() *stepTrain {
+	var t *stepTrain
 	pool := fw.trains.pool
 	if n := len(pool); n > 0 {
-		t := pool[n-1]
+		t = pool[n-1]
 		pool[n-1] = nil
 		fw.trains.pool = pool[:n-1]
-		return t
+	} else {
+		t = new(stepTrain)
 	}
-	return new(stepTrain)
+	if !fw.engine.Holds(t.edge) {
+		t.edge = fw.engine.Bind(t)
+	}
+	return t
 }
 
 // releaseTrain returns a finished train to the pool.
 func (fw *Firmware) releaseTrain(t *stepTrain) {
-	*t = stepTrain{}
+	*t = stepTrain{edge: t.edge}
 	fw.trains.pool = append(fw.trains.pool, t)
 }

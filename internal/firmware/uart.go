@@ -45,23 +45,19 @@ func (u *uartTx) sendByte(b byte) {
 		start = u.busyUntil
 	}
 	// Start bit.
-	u.setAt(start, signal.Low)
+	u.line.SetAt(start, signal.Low)
 	// Data bits, LSB first.
 	for bit := 0; bit < 8; bit++ {
 		level := signal.Low
 		if b&(1<<bit) != 0 {
 			level = signal.High
 		}
-		u.setAt(start+sim.Time(bit+1)*u.bitTime, level)
+		u.line.SetAt(start+sim.Time(bit+1)*u.bitTime, level)
 	}
 	// Stop bit.
-	u.setAt(start+9*u.bitTime, signal.High)
+	u.line.SetAt(start+9*u.bitTime, signal.High)
 	u.busyUntil = start + 10*u.bitTime
 	u.sent++
-}
-
-func (u *uartTx) setAt(at sim.Time, level signal.Level) {
-	u.engine.ScheduleEdge(at, u.line, uint64(level))
 }
 
 // uartRx decodes 8N1 frames from a line by sampling mid-bit after each

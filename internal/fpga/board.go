@@ -382,10 +382,15 @@ type PinPath struct {
 	filters []func(at sim.Time, level signal.Level) bool
 	forced  bool
 	level   signal.Level
+
+	// edge is the path's handle on the engine's edge fast path, which
+	// ends injected pulses.
+	edge sim.Bound
 }
 
 func newPinPath(b *Board, src, dst *signal.Line, delay sim.Time) *PinPath {
 	p := &PinPath{board: b, src: src, dst: dst, delay: delay}
+	p.edge = b.engine.Bind(p)
 	dst.Set(src.Level())
 	src.Watch(func(at sim.Time, level signal.Level) {
 		if p.forced {
@@ -450,14 +455,14 @@ func (p *PinPath) InjectPulse(width sim.Time) {
 		panic(fmt.Sprintf("fpga: InjectPulse with non-positive width %v", width))
 	}
 	p.dst.SetAfter(p.delay, signal.High)
-	p.board.engine.AfterEdge(p.delay+width, p, 0)
+	p.board.engine.AfterEdge(p.delay+width, p.edge, 0)
 }
 
 // FireEdge implements sim.EdgeTarget: it ends an injected pulse by
 // restoring the output to the source's current level, so a concurrent
 // real pulse is not cut short more than one injection width. Forced paths
 // stay clamped.
-func (p *PinPath) FireEdge(uint64) {
+func (p *PinPath) FireEdge(uint32) {
 	if p.forced {
 		return
 	}

@@ -58,6 +58,8 @@ type Line struct {
 	edges uint64
 	// lastChange is the time of the most recent transition.
 	lastChange sim.Time
+	// edge is the line's handle on the engine's edge fast path.
+	edge sim.Bound
 }
 
 // NewLine creates a line named name at level Low.
@@ -65,7 +67,9 @@ func NewLine(engine *sim.Engine, name string) *Line {
 	if engine == nil {
 		panic("signal: NewLine with nil engine")
 	}
-	return &Line{name: name, engine: engine}
+	l := &Line{name: name, engine: engine}
+	l.edge = engine.Bind(l)
+	return l
 }
 
 // Name reports the line's name (e.g. "X_STEP").
@@ -107,15 +111,20 @@ func (l *Line) Set(level Level) {
 }
 
 // FireEdge implements sim.EdgeTarget: it drives the line to Level(arg).
-// It is the engine's allocation-free fast path behind SetAfter, Pulse and
-// Connect — a prebound callback with the target level as the argument, in
-// place of a fresh closure per scheduled edge.
-func (l *Line) FireEdge(arg uint64) { l.Set(Level(arg)) }
+// It is the engine's allocation-free fast path behind SetAt, SetAfter,
+// Pulse and Connect — a callback bound once in NewLine with the target
+// level as the argument, in place of a fresh closure per scheduled edge.
+func (l *Line) FireEdge(arg uint32) { l.Set(Level(arg)) }
+
+// SetAt schedules the line to be driven to level at absolute time at.
+func (l *Line) SetAt(at sim.Time, level Level) {
+	l.engine.ScheduleEdge(at, l.edge, uint32(level))
+}
 
 // SetAfter schedules the line to be driven to level after delay. It models
 // a gate or level-shifter output with known propagation delay.
 func (l *Line) SetAfter(delay sim.Time, level Level) {
-	l.engine.AfterEdge(delay, l, uint64(level))
+	l.engine.AfterEdge(delay, l.edge, uint32(level))
 }
 
 // Pulse drives the line High for width, then back Low. If the line is
@@ -129,8 +138,8 @@ func (l *Line) Pulse(width sim.Time) {
 	}
 	if l.level == High {
 		l.Set(Low)
-		l.engine.AfterEdge(sim.Nanosecond, l, uint64(High))
-		l.engine.AfterEdge(sim.Nanosecond+width, l, uint64(Low))
+		l.SetAfter(sim.Nanosecond, High)
+		l.SetAfter(sim.Nanosecond+width, Low)
 		return
 	}
 	l.Set(High)

@@ -5,43 +5,58 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"sync/atomic"
 )
 
 // ErrStopped is returned by Run when the simulation was halted by Stop
 // before reaching its target time.
 var ErrStopped = errors.New("sim: engine stopped")
 
-// EdgeTarget is a prebound callback for the engine's allocation-free
+// EdgeTarget is a long-lived callback for the engine's allocation-free
 // scheduling fast path. Hot-path schedulers (signal edges, step trains)
-// implement it once and pass a small argument per event instead of
-// allocating a fresh closure: the interface value holds a pointer that is
-// already live, so ScheduleEdge never heap-allocates.
+// register it once with Bind and then pass the returned handle and a
+// small argument per event instead of allocating a fresh closure.
 type EdgeTarget interface {
 	// FireEdge runs the scheduled work. arg is the small payload given to
 	// ScheduleEdge (a signal level, a pulse phase, ...).
-	FireEdge(arg uint64)
+	FireEdge(arg uint32)
 }
+
+// Bound is an EdgeTarget registered with one engine by Bind: the handle
+// ScheduleEdge and AfterEdge take. It stays valid on that engine until
+// the engine's next Reset. Scheduling with the zero Bound, a handle from
+// another engine, or one from before a Reset panics, so a stale handle
+// can never fire a different target.
+type Bound struct {
+	// key is the complement of the binding epoch's generation, so the
+	// zero Bound matches no engine — not even one that has drawn no
+	// generation yet — and checking a handle is one comparison.
+	key uint64
+	ref uint32
+}
+
+// generations issues engine generations: every engine draws a fresh one
+// at its first Bind after creation or Reset, so no two binding epochs —
+// on any engines — share a generation. Zero means "none drawn yet".
+var generations atomic.Uint64
+
+// closureRef marks an event's ref as an index into the closure table;
+// without it, ref indexes the bound-target table. Both tables are capped
+// at closureRef entries.
+const closureRef uint32 = 1 << 31
 
 // event is a scheduled callback, stored by value: the queue tiers hold
 // []event slices, so steady-state scheduling performs zero allocations.
-// Exactly one of fn and tgt is set. seq breaks ties between events
-// scheduled for the same instant so execution order is deterministic
-// (FIFO within an instant).
+// The event holds no pointers — its payload lives in the engine's
+// bound-target or closure table, named by ref — so the queues are never
+// scanned by the garbage collector and moving events runs no write
+// barriers. seq breaks ties between events scheduled for the same
+// instant so execution order is deterministic (FIFO within an instant).
 type event struct {
 	at  Time
 	seq uint64
-	fn  func()
-	tgt EdgeTarget
-	arg uint64
-}
-
-// call runs the event's payload.
-func (ev *event) call() {
-	if ev.fn != nil {
-		ev.fn()
-		return
-	}
-	ev.tgt.FireEdge(ev.arg)
+	ref uint32
+	arg uint32
 }
 
 // eventLess orders events by (at, seq) — the engine's total execution
@@ -89,8 +104,11 @@ func slotOf(at Time) int { return int(at>>wheelShift) & wheelMask }
 //     everything beyond the wheel horizon, promoted into the wheel as its
 //     windows come due.
 //
-// Both tiers store events by value and reuse their backing storage, so
-// scheduling allocates only when a slice grows.
+// Both tiers store pointer-free events by value and reuse their backing
+// storage, so scheduling allocates only when a slice grows. An event's
+// payload lives in one of two side tables: bound EdgeTargets (registered
+// once by Bind, never removed before Reset) and Schedule closures (one
+// entry per pending closure, freed indices reused last-in-first-out).
 type Engine struct {
 	now     Time
 	seq     uint64
@@ -113,30 +131,39 @@ type Engine struct {
 	windows uint64
 
 	heap []event
+
+	// gen is the current binding epoch (zero until the first Bind after
+	// creation or Reset); targets holds the EdgeTargets bound in it.
+	gen     uint64
+	targets []EdgeTarget
+	// fns holds the pending Schedule closures; freeFns lists the indices
+	// of fns whose closure has run, reused last-in-first-out.
+	fns     []func()
+	freeFns []uint32
 }
 
 // NewEngine returns an empty engine at time zero.
 func NewEngine() *Engine { return &Engine{} }
 
 // Reset returns the engine to the state NewEngine would produce while
-// retaining the backing storage of its wheel slots and far-tier heap —
-// the point of pooling an engine across runs. Every queued event's
-// callback reference is released (a reset engine pins nothing from the
-// previous run), the clock returns to zero, and the sequence counter
+// retaining the backing storage of its wheel slots, far-tier heap and
+// payload tables — the point of pooling an engine across runs. Every
+// bound target and pending closure is released (a reset engine pins
+// nothing from the previous run) and every Bound handle issued before
+// is invalidated. The clock returns to zero and the sequence counter
 // restarts, so a run on a reset engine is bit-identical to a run on a
 // fresh one.
 func (e *Engine) Reset() {
 	for s := range e.slots {
-		slot := e.slots[s]
-		for i := range slot {
-			slot[i] = event{} // release fn/tgt references
-		}
-		e.slots[s] = slot[:0]
-	}
-	for i := range e.heap {
-		e.heap[i] = event{}
+		e.slots[s] = e.slots[s][:0]
 	}
 	e.heap = e.heap[:0]
+	clear(e.targets)
+	e.targets = e.targets[:0]
+	clear(e.fns)
+	e.fns = e.fns[:0]
+	e.freeFns = e.freeFns[:0]
+	e.gen = 0
 	e.now = 0
 	e.seq = 0
 	e.stopped = false
@@ -169,45 +196,88 @@ func (e *Engine) Schedule(at Time, fn func()) {
 	if fn == nil {
 		panic("sim: Schedule with nil func")
 	}
-	e.enqueue(event{at: at, fn: fn})
-}
-
-// After enqueues fn to run d nanoseconds after the current time.
-func (e *Engine) After(d Time, fn func()) {
-	if d < 0 {
-		panic(fmt.Sprintf("sim: After with negative delay %v", d))
+	if at < e.now { // before taking a closure index
+		panicPast(at, e.now)
 	}
-	e.Schedule(e.now+d, fn)
-}
-
-// ScheduleEdge enqueues tgt.FireEdge(arg) to run at absolute time at.
-// This is the allocation-free fast path: no closure is created, and the
-// event is stored by value. Ordering is identical to Schedule — one seq
-// counter covers both paths.
-func (e *Engine) ScheduleEdge(at Time, tgt EdgeTarget, arg uint64) {
-	if tgt == nil {
-		panic("sim: ScheduleEdge with nil target")
+	var i uint32
+	if n := len(e.freeFns); n > 0 {
+		i = e.freeFns[n-1]
+		e.freeFns = e.freeFns[:n-1]
+		e.fns[i] = fn
+	} else {
+		if uint(len(e.fns)) >= uint(closureRef) {
+			panic("sim: too many pending closures")
+		}
+		i = uint32(len(e.fns))
+		e.fns = append(e.fns, fn)
 	}
-	e.enqueue(event{at: at, tgt: tgt, arg: arg})
+	e.enqueue(at, closureRef|i, 0)
 }
 
-// AfterEdge enqueues tgt.FireEdge(arg) to run d nanoseconds after the
-// current time, via the allocation-free fast path.
-func (e *Engine) AfterEdge(d Time, tgt EdgeTarget, arg uint64) {
-	if d < 0 {
-		panic(fmt.Sprintf("sim: AfterEdge with negative delay %v", d))
+// After enqueues fn to run d nanoseconds after the current time. A
+// negative d lands before Now and panics like any past schedule.
+func (e *Engine) After(d Time, fn func()) { e.Schedule(e.now+d, fn) }
+
+// Bind registers a long-lived target for ScheduleEdge and AfterEdge and
+// returns its handle. The engine holds t until Reset, so bind each
+// target once — at construction — not once per event.
+func (e *Engine) Bind(t EdgeTarget) Bound {
+	if t == nil {
+		panic("sim: Bind with nil target")
 	}
-	e.ScheduleEdge(e.now+d, tgt, arg)
+	if uint(len(e.targets)) >= uint(closureRef) {
+		panic("sim: too many bound targets")
+	}
+	if e.gen == 0 {
+		e.gen = generations.Add(1)
+	}
+	e.targets = append(e.targets, t)
+	return Bound{key: ^e.gen, ref: uint32(len(e.targets) - 1)}
 }
 
-// enqueue stamps the event's sequence number and routes it to the wheel
-// or the heap.
-func (e *Engine) enqueue(ev event) {
-	if ev.at < e.now {
-		panic(fmt.Sprintf("sim: Schedule at %v before now %v", ev.at, e.now))
+// Holds reports whether b is a live handle on e: bound by e since its
+// last Reset.
+func (e *Engine) Holds(b Bound) bool { return ^b.key == e.gen }
+
+// ScheduleEdge enqueues FireEdge(arg) on the target bound as b, to run at
+// absolute time at. This is the allocation-free fast path: no closure is
+// created, and the event is stored by value. Ordering is identical to
+// Schedule — one seq counter covers both paths. ScheduleEdge and
+// AfterEdge are kept small enough to inline into their callers, which is
+// why they spell out Holds: the inliner charges for the nested call.
+func (e *Engine) ScheduleEdge(at Time, b Bound, arg uint32) {
+	if ^b.key != e.gen {
+		panic(errUnbound)
+	}
+	e.enqueue(at, b.ref, arg)
+}
+
+// AfterEdge enqueues FireEdge(arg) on the target bound as b, to run d
+// nanoseconds after the current time, via the allocation-free fast path.
+// A negative d lands before Now and panics like any past schedule.
+func (e *Engine) AfterEdge(d Time, b Bound, arg uint32) {
+	if ^b.key != e.gen {
+		panic(errUnbound)
+	}
+	e.enqueue(e.now+d, b.ref, arg)
+}
+
+const errUnbound = "sim: edge handle not bound to this engine since its last Reset"
+
+// panicPast reports an attempt to schedule at a time before now.
+func panicPast(at, now Time) {
+	panic(fmt.Sprintf("sim: Schedule at %v before now %v", at, now))
+}
+
+// enqueue stamps a new event with the next sequence number and routes it
+// to the wheel or the heap. It rejects a time before Now; the caller has
+// stored the payload ref names.
+func (e *Engine) enqueue(at Time, ref, arg uint32) {
+	if at < e.now {
+		panicPast(at, e.now)
 	}
 	e.seq++
-	ev.seq = e.seq
+	ev := event{at: at, seq: e.seq, ref: ref, arg: arg}
 	e.pending++
 	if ev.at < e.base+wheelSpan {
 		// Inlined by hand: an append helper taking ev costs the hot path
@@ -283,13 +353,16 @@ func (e *Engine) run(until Time) error {
 			}
 			last := len(s) - 1
 			s[min] = s[last]
-			s[last] = event{} // release fn/tgt references
 			*slot = s[:last]
 			e.wheelCount--
 			e.pending--
 			e.now = ev.at
 			e.executed++
-			ev.call()
+			if ev.ref&closureRef == 0 {
+				e.targets[ev.ref].FireEdge(ev.arg)
+			} else {
+				e.callClosure(ev.ref &^ closureRef)
+			}
 			if e.stopped {
 				return ErrStopped
 			}
@@ -308,6 +381,15 @@ func (e *Engine) run(until Time) error {
 		e.windows++
 	}
 	return nil
+}
+
+// callClosure runs the closure at index i of the closure table, freeing
+// the index first so the closure's own reschedule can reuse it.
+func (e *Engine) callClosure(i uint32) {
+	fn := e.fns[i]
+	e.fns[i] = nil
+	e.freeFns = append(e.freeFns, i)
+	fn()
 }
 
 // nextWindow returns the start of the earliest window after base that
@@ -370,7 +452,6 @@ func (e *Engine) heapPop() event {
 	top := h[0]
 	last := len(h) - 1
 	h[0] = h[last]
-	h[last] = event{} // release fn/tgt references
 	h = h[:last]
 	i := 0
 	for {

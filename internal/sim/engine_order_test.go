@@ -3,7 +3,11 @@ package sim
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
+	"runtime"
 	"testing"
+	"unsafe"
+	"weak"
 )
 
 // TestEngineSameInstantFIFOAcrossTiers proves FIFO-within-instant holds
@@ -44,12 +48,12 @@ func TestEngineSameInstantFIFOAcrossTiers(t *testing.T) {
 // Schedule and ScheduleEdge calls for one instant run in call order.
 type orderRecorder struct{ got *[]int }
 
-func (r *orderRecorder) FireEdge(arg uint64) { *r.got = append(*r.got, int(arg)) }
+func (r *orderRecorder) FireEdge(arg uint32) { *r.got = append(*r.got, int(arg)) }
 
 func TestEngineSameInstantFIFOEdgePath(t *testing.T) {
 	e := NewEngine()
 	var got []int
-	rec := &orderRecorder{got: &got}
+	rec := e.Bind(&orderRecorder{got: &got})
 	e.Schedule(100, func() { got = append(got, 0) })
 	e.ScheduleEdge(100, rec, 1)
 	e.Schedule(100, func() { got = append(got, 2) })
@@ -230,14 +234,24 @@ func referenceOrder(nodes []workloadNode, start Time) []int {
 	})
 }
 
-// runWorkload replays nodes on e from time Now, alternating closure and
-// edge paths to cover both, and returns the execution order. The event
-// with id stopAt (if any) calls Stop. drive runs the engine.
+// runWorkload replays nodes on e from time Now, alternating closure
+// events with edge events spread over several bound targets, and returns
+// the execution order. The event with id stopAt (if any) calls Stop.
+// drive runs the engine.
+//
+// A replay that drains the engine must also leave the closure table
+// consistent: every closure index freed, and fewer indices than closures
+// scheduled — indices were freed and reused while other events were
+// still pending.
 func runWorkload(t *testing.T, e *Engine, nodes []workloadNode, stopAt int, drive func() error) []int {
 	t.Helper()
 	var order []int
 	var exec func(id int)
-	sink := &workloadSink{fire: func(id int) { exec(id) }}
+	var sinks [3]Bound
+	for i := range sinks {
+		sinks[i] = e.Bind(&workloadSink{fire: func(id int) { exec(id) }})
+	}
+	closures := 1
 	exec = func(id int) {
 		order = append(order, id)
 		if id == stopAt {
@@ -246,15 +260,29 @@ func runWorkload(t *testing.T, e *Engine, nodes []workloadNode, stopAt int, driv
 		for _, c := range nodes[id].children {
 			c := c
 			if c.id%2 == 0 {
+				closures++
 				e.After(c.after(e.Now()), func() { exec(c.id) })
 			} else {
-				e.AfterEdge(c.after(e.Now()), sink, uint64(c.id))
+				e.AfterEdge(c.after(e.Now()), sinks[c.id/2%len(sinks)], uint32(c.id))
 			}
 		}
 	}
 	e.Schedule(e.Now(), func() { exec(0) })
 	if err := drive(); err != nil {
 		t.Fatalf("drive: %v", err)
+	}
+	if e.Pending() == 0 {
+		if len(e.freeFns) != len(e.fns) {
+			t.Fatalf("idle engine: %d of %d closure indices free", len(e.freeFns), len(e.fns))
+		}
+		for i, fn := range e.fns {
+			if fn != nil {
+				t.Fatalf("idle engine still holds closure %d", i)
+			}
+		}
+		if len(e.fns) >= closures {
+			t.Fatalf("%d closure indices for %d closures: no index was reused", len(e.fns), closures)
+		}
 	}
 	return order
 }
@@ -353,39 +381,120 @@ func TestEngineDifferentialOrderingVsReference(t *testing.T) {
 
 type workloadSink struct{ fire func(id int) }
 
-func (s *workloadSink) FireEdge(arg uint64) { s.fire(int(arg)) }
+func (s *workloadSink) FireEdge(arg uint32) { s.fire(int(arg)) }
+
+// mustPanic fails t unless fn panics.
+func mustPanic(t *testing.T, what string, fn func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Errorf("%s did not panic", what)
+		}
+	}()
+	fn()
+}
 
 // TestEngineEdgePathValidation mirrors the closure path's contract checks.
 func TestEngineEdgePathValidation(t *testing.T) {
 	e := NewEngine()
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("ScheduleEdge(nil target) did not panic")
-			}
-		}()
-		e.ScheduleEdge(0, nil, 0)
-	}()
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("AfterEdge with negative delay did not panic")
-			}
-		}()
-		e.AfterEdge(-1, &workloadSink{fire: func(int) {}}, 0)
-	}()
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("ScheduleEdge in the past did not panic")
-			}
-		}()
-		e.Schedule(100, func() {})
-		if err := e.Run(100); err != nil {
-			t.Fatal(err)
+	mustPanic(t, "ScheduleEdge with the zero Bound", func() { e.ScheduleEdge(0, Bound{}, 0) })
+	mustPanic(t, "Bind(nil)", func() { e.Bind(nil) })
+	sink := e.Bind(&workloadSink{fire: func(int) {}})
+	mustPanic(t, "ScheduleEdge with the zero Bound after a Bind", func() { e.ScheduleEdge(0, Bound{}, 0) })
+	mustPanic(t, "AfterEdge with negative delay", func() { e.AfterEdge(-1, sink, 0) })
+	e.Schedule(100, func() {})
+	if err := e.Run(100); err != nil {
+		t.Fatal(err)
+	}
+	mustPanic(t, "ScheduleEdge in the past", func() { e.ScheduleEdge(50, sink, 0) })
+	if e.Pending() != 0 {
+		t.Errorf("rejected schedules left %d events pending", e.Pending())
+	}
+}
+
+// TestEngineStaleHandleRejected: a handle is good only on the engine that
+// bound it, and only until that engine's next Reset. After a Reset the
+// same table index names whatever target is bound next, so a stale
+// handle must panic rather than fire it.
+func TestEngineStaleHandleRejected(t *testing.T) {
+	var fired []string
+	target := func(name string) EdgeTarget {
+		return &workloadSink{fire: func(int) { fired = append(fired, name) }}
+	}
+	e, other := NewEngine(), NewEngine()
+	old := e.Bind(target("old"))
+	foreign := other.Bind(target("foreign"))
+	if !e.Holds(old) || e.Holds(foreign) || e.Holds(Bound{}) {
+		t.Fatal("Holds misreports handle ownership")
+	}
+	mustPanic(t, "ScheduleEdge with another engine's handle", func() { e.ScheduleEdge(0, foreign, 0) })
+
+	e.Reset()
+	fresh := e.Bind(target("new"))
+	if fresh.ref != old.ref {
+		t.Fatalf("rebinding after Reset took index %d, want the stale handle's %d", fresh.ref, old.ref)
+	}
+	if e.Holds(old) {
+		t.Error("handle from before Reset still held")
+	}
+	mustPanic(t, "ScheduleEdge with a pre-Reset handle", func() { e.ScheduleEdge(0, old, 0) })
+	mustPanic(t, "AfterEdge with a pre-Reset handle", func() { e.AfterEdge(0, old, 0) })
+	e.ScheduleEdge(0, fresh, 0)
+	if err := e.RunUntilIdle(); err != nil {
+		t.Fatal(err)
+	}
+	if len(fired) != 1 || fired[0] != "new" {
+		t.Errorf("fired %v, want [new]", fired)
+	}
+}
+
+// TestEngineResetReleasesPayloads: Reset with events still queued in
+// both tiers must leave no bound target and no closure reachable from
+// the engine.
+func TestEngineResetReleasesPayloads(t *testing.T) {
+	type payload struct{ pad [64]byte }
+	e := NewEngine()
+	var weaks []weak.Pointer[payload]
+	for i := 0; i < 4; i++ {
+		tp, cp := new(payload), new(payload)
+		weaks = append(weaks, weak.Make(tp), weak.Make(cp))
+		b := e.Bind(&workloadSink{fire: func(int) { _ = tp.pad }})
+		e.ScheduleEdge(Time(i)*wheelSpan, b, 0)
+		e.Schedule(Time(i)*wheelSpan+1, func() { _ = cp.pad })
+	}
+	if err := e.Run(wheelSpan / 2); err != nil { // fire one of each, free one closure index
+		t.Fatal(err)
+	}
+	e.Reset()
+	runtime.GC()
+	for i, w := range weaks {
+		if w.Value() != nil {
+			t.Errorf("payload %d still reachable after Reset", i)
 		}
-		e.ScheduleEdge(50, &workloadSink{fire: func(int) {}}, 0)
-	}()
+	}
+	if e.Pending() != 0 || len(e.targets) != 0 || len(e.fns) != 0 || len(e.freeFns) != 0 {
+		t.Errorf("Reset left pending=%d targets=%d fns=%d free=%d",
+			e.Pending(), len(e.targets), len(e.fns), len(e.freeFns))
+	}
+	runtime.KeepAlive(e)
+}
+
+// TestEventLayoutPointerFree pins the queued event at 24 bytes with no
+// pointer-bearing field, so the garbage collector never scans the queues
+// and moving an event runs no write barrier.
+func TestEventLayoutPointerFree(t *testing.T) {
+	if size := unsafe.Sizeof(event{}); size != 24 {
+		t.Errorf("event is %d bytes, want 24", size)
+	}
+	typ := reflect.TypeOf(event{})
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		switch f.Type.Kind() {
+		case reflect.Int64, reflect.Uint64, reflect.Uint32:
+		default:
+			t.Errorf("event.%s has kind %s; want a pointer-free integer", f.Name, f.Type.Kind())
+		}
+	}
 }
 
 // BenchmarkEngineSchedule measures the raw schedule/execute cycle on a
@@ -405,11 +514,12 @@ func BenchmarkEngineSchedule(b *testing.B) {
 
 // BenchmarkEngineScheduleEdge measures the allocation-free fast path.
 func BenchmarkEngineScheduleEdge(b *testing.B) {
-	sink := &workloadSink{fire: func(int) {}}
+	target := &workloadSink{fire: func(int) {}}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e := NewEngine()
+		sink := e.Bind(target)
 		for j := 0; j < 1000; j++ {
 			e.ScheduleEdge(Time(j)*50, sink, 0)
 		}
@@ -436,11 +546,12 @@ func BenchmarkEngineTicker(b *testing.B) {
 // near-horizon pulse edges riding on sparse far-horizon periodics, which
 // exercises wheel/heap promotion.
 func BenchmarkEngineMixedHorizon(b *testing.B) {
-	sink := &workloadSink{fire: func(int) {}}
+	target := &workloadSink{fire: func(int) {}}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e := NewEngine()
+		sink := e.Bind(target)
 		// Far tier: periodic exports every 100 ms over 1 s.
 		for j := Time(1); j <= 10; j++ {
 			e.Schedule(j*100*Millisecond, func() {})
