@@ -173,26 +173,24 @@ func (c Campaign) Run(ctx context.Context, scenarios []Scenario) ([]ScenarioResu
 	effSeed := make([]uint64, len(scenarios))
 	plans := make(map[[sha256.Size]byte]*planEntry)
 	planOf := make([]*planEntry, len(scenarios))
+	// hashes[i] is the program's content address, computed once for
+	// every scenario that shares a plan, fuses, or may hit the golden
+	// cache.
 	hashes := make([][sha256.Size]byte, len(scenarios))
-	hashed := make([]bool, len(scenarios))
-	hashOf := func(i int) [sha256.Size]byte {
-		if !hashed[i] {
-			hashes[i] = hashProgram(scenarios[i].Program)
-			hashed[i] = true
-		}
-		return hashes[i]
-	}
 	for i := range scenarios {
-		effSeed[i] = scenarios[i].Seed
+		s := &scenarios[i]
+		effSeed[i] = s.Seed
 		if effSeed[i] == 0 && c.BaseSeed != 0 {
 			effSeed[i] = c.BaseSeed + uint64(i)*31 + 1
 		}
-		if planEligible(&scenarios[i]) {
-			h := hashOf(i)
-			pe, ok := plans[h]
+		if planEligible(s) || fusible(s) || s.goldenCacheable() {
+			hashes[i] = hashProgram(s.Program)
+		}
+		if planEligible(s) {
+			pe, ok := plans[hashes[i]]
 			if !ok {
 				pe = &planEntry{}
-				plans[h] = pe
+				plans[hashes[i]] = pe
 			}
 			planOf[i] = pe
 		}
@@ -205,7 +203,7 @@ func (c Campaign) Run(ctx context.Context, scenarios []Scenario) ([]ScenarioResu
 				units = append(units, []int{i})
 				continue
 			}
-			key := fuseKey{program: hashOf(i), seed: effSeed[i], bind: scenarios[i].DetectorBind}
+			key := fuseKey{program: hashes[i], seed: effSeed[i], bind: scenarios[i].DetectorBind}
 			if u, ok := fused[key]; ok {
 				units[u] = append(units[u], i)
 			} else {
@@ -254,11 +252,11 @@ func (c Campaign) Run(ctx context.Context, scenarios []Scenario) ([]ScenarioResu
 			for unit := range unitCh {
 				if len(unit) == 1 {
 					i := unit[0]
-					results[i] = c.runScenario(ctx, scenarios[i], effSeed[i], budget, planOf[i], core)
+					results[i] = c.runScenario(ctx, scenarios[i], hashes[i], effSeed[i], budget, planOf[i], core)
 					emit(results[i])
 					continue
 				}
-				for i, r := range c.runFused(ctx, scenarios, unit, effSeed[unit[0]], budget, planOf[unit[0]], core) {
+				for i, r := range c.runFused(ctx, scenarios, unit, hashes[unit[0]], effSeed[unit[0]], budget, planOf[unit[0]], core) {
 					results[unit[i]] = r
 					emit(r)
 				}
@@ -290,14 +288,15 @@ feed:
 }
 
 // runScenario builds and runs one scenario end to end, consulting the
-// golden cache for memoizable scenarios.
-func (c Campaign) runScenario(ctx context.Context, s Scenario, seed uint64, budget sim.Time, plan *planEntry, core *TestbedCore) ScenarioResult {
+// golden cache for memoizable scenarios under program, the hash Run
+// computed for every scenario the cache may serve.
+func (c Campaign) runScenario(ctx context.Context, s Scenario, program [sha256.Size]byte, seed uint64, budget sim.Time, plan *planEntry, core *TestbedCore) ScenarioResult {
 	out := ScenarioResult{Name: s.Name, Seed: seed}
 
 	var res *Result
 	var err error
 	if c.Cache != nil && s.goldenCacheable() {
-		key := goldenKey{program: hashProgram(s.Program), seed: seed, budget: budget, mode: c.CaptureMode}
+		key := goldenKey{program: program, seed: seed, budget: budget, mode: c.CaptureMode}
 		res, err = c.Cache.run(key, func() (*Result, error) {
 			return c.runFresh(ctx, s, seed, budget, plan, core)
 		})
@@ -362,11 +361,12 @@ func (c Campaign) runFresh(ctx context.Context, s Scenario, seed uint64, budget 
 // detector observes — and hence its verdict — is identical to a solo
 // run; if the fused simulation fails for any reason, every member falls
 // back to an independent solo run so error semantics stay per-scenario.
-func (c Campaign) runFused(ctx context.Context, scenarios []Scenario, unit []int, seed uint64, budget sim.Time, plan *planEntry, core *TestbedCore) []ScenarioResult {
+// program is the members' shared program hash (part of the fuse key).
+func (c Campaign) runFused(ctx context.Context, scenarios []Scenario, unit []int, program [sha256.Size]byte, seed uint64, budget sim.Time, plan *planEntry, core *TestbedCore) []ScenarioResult {
 	out := make([]ScenarioResult, len(unit))
 	solo := func() []ScenarioResult {
 		for k, i := range unit {
-			out[k] = c.runScenario(ctx, scenarios[i], seed, budget, plan, core)
+			out[k] = c.runScenario(ctx, scenarios[i], program, seed, budget, plan, core)
 		}
 		return out
 	}

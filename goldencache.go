@@ -42,25 +42,39 @@ func (k goldenKey) storeKey() goldenstore.Key {
 	}
 }
 
-// hashProgram computes the content address of a program.
+// hashProgram computes the content address of a program. The byte
+// stream is, per command: the code, a 0 byte, then per word its letter
+// followed by 1 (bare) or the value's 8 little-endian float64 bytes,
+// then '\n'. The stream is fed through a fixed stack chunk — one Write
+// per chunk, not per field — and must never change: the digest is every
+// persisted store key (pinned by TestHashProgramPinned).
 func hashProgram(prog gcode.Program) [sha256.Size]byte {
 	h := sha256.New()
-	var buf [8]byte
+	var chunk [1024]byte
+	buf := chunk[:0]
 	for _, c := range prog {
-		h.Write([]byte(c.Code))
-		h.Write([]byte{0})
+		// A command longer than the chunk spills to the heap through
+		// append; the bytes, and so the digest, are the same.
+		if len(buf)+len(c.Code)+9*len(c.Words)+2 > len(chunk) {
+			h.Write(buf)
+			buf = chunk[:0]
+		}
+		buf = append(buf, c.Code...)
+		buf = append(buf, 0)
 		for _, w := range c.Words {
-			h.Write([]byte{w.Letter})
+			buf = append(buf, w.Letter)
 			if w.Bare {
-				h.Write([]byte{1})
+				buf = append(buf, 1)
 			} else {
-				binary.LittleEndian.PutUint64(buf[:], math.Float64bits(w.Value))
-				h.Write(buf[:])
+				buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(w.Value))
 			}
 		}
-		h.Write([]byte{'\n'})
+		buf = append(buf, '\n')
 	}
-	return [sha256.Size]byte(h.Sum(nil))
+	h.Write(buf)
+	var sum [sha256.Size]byte
+	h.Sum(sum[:0])
+	return sum
 }
 
 // goldenEntry is one memoized golden run. The first caller to insert the
@@ -309,14 +323,18 @@ func (gc *GoldenCache) fill(key goldenKey, fresh func() (*Result, error)) (*Resu
 	store := gc.store
 	gc.mu.Unlock()
 	if store != nil {
-		sk := key.storeKey()
-		if payload, ok := store.Get(sk); ok {
-			if res, err := decodeGoldenResult(payload); err == nil {
-				gc.mu.Lock()
-				gc.storeHits++
-				gc.mu.Unlock()
-				return res, nil
-			}
+		// The payload is lent for the callback only; decodeGoldenResult
+		// copies every field out of it, so res never aliases the store's
+		// read buffer.
+		var res *Result
+		store.View(key.storeKey(), func(payload []byte) {
+			res, _ = decodeGoldenResult(payload)
+		})
+		if res != nil {
+			gc.mu.Lock()
+			gc.storeHits++
+			gc.mu.Unlock()
+			return res, nil
 		}
 		gc.mu.Lock()
 		gc.storeMisses++

@@ -3,14 +3,17 @@ package offramps
 import (
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"offramps/internal/fpga"
+	"offramps/internal/gcode"
 	"offramps/internal/goldenstore"
 	"offramps/internal/sim"
 	"offramps/internal/trojan"
@@ -514,5 +517,116 @@ func TestGoldenCacheChurnInvariants(t *testing.T) {
 	hits, misses := gc.Stats()
 	if hits+misses == 0 {
 		t.Error("no traffic recorded")
+	}
+}
+
+// TestHashProgramPinned pins the program hash, which is every persisted
+// store key: a changed digest would silently turn every existing store
+// cold. The cases cover the paper's test part, a bare word, and a command
+// whose encoding overflows hashProgram's stack chunk.
+func TestHashProgramPinned(t *testing.T) {
+	var words []gcode.Word
+	for i := 0; i < 300; i++ {
+		words = append(words, gcode.Word{Letter: byte('A' + i%26), Value: float64(i) * 0.125, Bare: i%7 == 3})
+	}
+	cases := []struct {
+		name string
+		prog gcode.Program
+		want string
+	}{
+		{"testpart", mustTestPart(t), "bae448318052cabc82b5544248b7c9608afd0c935da5485e20bcc90e598ccf5e"},
+		{"bare word", gcode.Program{{Code: "G28", Words: []gcode.Word{{Letter: 'X', Bare: true}, {Letter: 'Y'}}}},
+			"8b4894c4849a3a6ecde3cd0d8563d1c1d9d2d6923d1ebc0f98af25977d9d871f"},
+		{"over-chunk command", gcode.Program{{Code: "G1"}, {Code: "M" + strings.Repeat("9", 1500), Words: words}, {Code: "M84"}},
+			"585fb8202a52aedc58298bd16c9bb7ece332c186762c0140e31fdda7e2eab16a"},
+	}
+	for _, c := range cases {
+		if got := fmt.Sprintf("%x", hashProgram(c.prog)); got != c.want {
+			t.Errorf("%s: hashProgram = %s, want %s", c.name, got, c.want)
+		}
+	}
+	prog := cases[0].prog
+	if allocs := testing.AllocsPerRun(10, func() { hashProgram(prog) }); allocs != 0 {
+		t.Errorf("hashing the test part allocated %.0f times, want 0", allocs)
+	}
+}
+
+// TestGoldenStoreHitsDoNotAliasReadBuffer: the store lends each hit's
+// payload from a pooled read buffer that the next hit overwrites, so a
+// served golden must own every byte it holds. Two different entries are
+// served one after the other, then from two goroutines at once (the race
+// detector watches the buffer), and every result must equal the golden
+// that was stored.
+func TestGoldenStoreHitsDoNotAliasReadBuffer(t *testing.T) {
+	prog := mustTestPart(t)
+	store, err := goldenstore.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fill := NewGoldenCache()
+	fill.AttachStore(store)
+	scens := []Scenario{{Name: "a", Program: prog, Seed: 5}, {Name: "b", Program: prog, Seed: 6}}
+	stored, err := Campaign{Workers: 2, Cache: fill}.Run(context.Background(), scens)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := firstScenarioErr(stored); err != nil {
+		t.Fatal(err)
+	}
+
+	keys := make([]goldenKey, len(scens))
+	for i, s := range scens {
+		keys[i] = goldenKey{program: hashProgram(prog), seed: s.Seed, budget: DefaultRunBudget, mode: CaptureFull}
+	}
+	// serve reads one entry through a fresh cache, so the store — not the
+	// memory tier — answers.
+	serve := func(i int) (*Result, error) {
+		gc := NewGoldenCache()
+		gc.AttachStore(store)
+		return gc.run(keys[i], func() (*Result, error) {
+			return nil, errors.New("store missed a golden it holds")
+		})
+	}
+	check := func(i int, res *Result) {
+		t.Helper()
+		if !reflect.DeepEqual(res, stored[i].Result) {
+			t.Errorf("golden %q served from the store differs from the one stored", scens[i].Name)
+		}
+	}
+
+	a, errA := serve(0)
+	b, errB := serve(1)
+	if err := errors.Join(errA, errB); err != nil {
+		t.Fatal(err)
+	}
+	check(0, a)
+	check(1, b)
+
+	const rounds = 6
+	var got [2][rounds]*Result
+	var errs [2]error
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := range rounds {
+				res, err := serve((g + r) % 2)
+				if err != nil {
+					errs[g] = err
+					return
+				}
+				got[g][r] = res
+			}
+		}()
+	}
+	wg.Wait()
+	if err := errors.Join(errs[:]...); err != nil {
+		t.Fatal(err)
+	}
+	for g := range got {
+		for r, res := range got[g] {
+			check((g+r)%2, res)
+		}
 	}
 }

@@ -192,6 +192,9 @@ func (d *goldenDecoder) u64() uint64 {
 	return binary.LittleEndian.Uint64(s)
 }
 
+// leF64 reads one little-endian float64 from the front of b.
+func leF64(b []byte) float64 { return math.Float64frombits(binary.LittleEndian.Uint64(b)) }
+
 func (d *goldenDecoder) i64() int64     { return int64(d.u64()) }
 func (d *goldenDecoder) f64() float64   { return math.Float64frombits(d.u64()) }
 func (d *goldenDecoder) boolByte() bool { return d.byte() != 0 }
@@ -276,9 +279,14 @@ func decodeGoldenResult(payload []byte) (*Result, error) {
 
 	if d.boolByte() {
 		part := printer.NewPart(d.f64())
+		// count bounded n by the bytes left, so a corrupt count cannot
+		// size the ledger past what the payload holds.
 		n := d.count(goldenDepositSize)
-		for i := 0; i < n && !d.bad; i++ {
-			part.Add(printer.Deposit{X: d.f64(), Y: d.f64(), Z: d.f64(), Filament: d.f64()})
+		part.Grow(n)
+		raw := d.take(n * goldenDepositSize)
+		for i := 0; i < n; i++ {
+			r := raw[i*goldenDepositSize : (i+1)*goldenDepositSize]
+			part.Add(printer.Deposit{X: leF64(r[0:]), Y: leF64(r[8:]), Z: leF64(r[16:]), Filament: leF64(r[24:])})
 		}
 		res.Part = part
 	}
@@ -300,13 +308,15 @@ func decodeGoldenResult(payload []byte) (*Result, error) {
 			n := d.count(goldenTransactionSize)
 			if !d.bad && n > 0 {
 				rec.Transactions = make([]capture.Transaction, n)
+				raw := d.take(n * goldenTransactionSize)
 				for i := range rec.Transactions {
+					r := raw[i*goldenTransactionSize : (i+1)*goldenTransactionSize]
 					rec.Transactions[i] = capture.Transaction{
-						Index: d.u32(),
-						X:     int32(d.u32()),
-						Y:     int32(d.u32()),
-						Z:     int32(d.u32()),
-						E:     int32(d.u32()),
+						Index: binary.LittleEndian.Uint32(r[0:]),
+						X:     int32(binary.LittleEndian.Uint32(r[4:])),
+						Y:     int32(binary.LittleEndian.Uint32(r[8:])),
+						Z:     int32(binary.LittleEndian.Uint32(r[12:])),
+						E:     int32(binary.LittleEndian.Uint32(r[16:])),
 					}
 				}
 			}

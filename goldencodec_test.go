@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"offramps/internal/capture"
 	"offramps/internal/detect"
@@ -212,5 +213,58 @@ func TestGoldenCodecCountBoundedByPayload(t *testing.T) {
 	binary.LittleEndian.PutUint64(enc[at:], 1<<26)
 	if _, err := decodeGoldenResult(enc); err == nil {
 		t.Error("payload declaring 2^26 deposits in 6 bytes decoded without error")
+	}
+}
+
+// TestGoldenDecodeAllocatesOnlyItsResult: a store hit's decode allocates
+// the slices it returns and little else. The deposit ledger is sized once
+// from its count rather than regrown append by append (which cost ~3× the
+// ledger in garbage), and no intermediate copy of the payload is made.
+func TestGoldenDecodeAllocatesOnlyItsResult(t *testing.T) {
+	enc, err := encodeGoldenResult(goldenResultForTest(t, CaptureFull))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec, err := decodeGoldenResult(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dec.Recording == nil || dec.Part == nil {
+		t.Fatal("full-capture golden decoded without a recording or part")
+	}
+	// The returned bulk: every distinct recording's transactions and the
+	// deposit ledger, at their allocated capacity.
+	var returned uintptr
+	seen := map[*capture.Recording]bool{}
+	for _, rec := range []*capture.Recording{dec.Recording, dec.ArduinoRecording, dec.RAMPSRecording} {
+		if rec != nil && !seen[rec] {
+			seen[rec] = true
+			returned += uintptr(cap(rec.Transactions)) * unsafe.Sizeof(capture.Transaction{})
+		}
+	}
+	returned += uintptr(cap(dec.Part.Deposits())) * unsafe.Sizeof(printer.Deposit{})
+
+	const runs = 5
+	allocs := testing.AllocsPerRun(runs, func() {
+		if _, err := decodeGoldenResult(enc); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 16 {
+		t.Errorf("decode made %.0f allocations, want at most 16", allocs)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		if _, err := decodeGoldenResult(enc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	perDecode := (after.TotalAlloc - before.TotalAlloc) / runs
+	t.Logf("decode: %.0f allocations, %d bytes for %d bytes of returned slices", allocs, perDecode, returned)
+	if limit := uint64(float64(returned) * 1.1); perDecode > limit {
+		t.Errorf("decode allocated %d bytes for %d bytes of returned slices, want at most %d (1.1×)",
+			perDecode, returned, limit)
 	}
 }

@@ -3,10 +3,12 @@
 package goldenstore
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -208,11 +210,21 @@ func (s *Store) Dir() string { return s.dir }
 // like any other resource.
 func (s *Store) Close() error { return nil }
 
-// Get returns the payload stored under k, or ok=false on any kind of
-// absence: filter-negative, no file, torn file, stale format, key
-// mismatch, checksum failure. Absence is never an error — the caller's
-// fallback is a fresh simulation, which is always correct.
-func (s *Store) Get(k Key) ([]byte, bool) {
+// Get returns a copy of the payload stored under k, or ok=false on any
+// kind of absence: filter-negative, no file, torn file, stale format,
+// key mismatch, checksum failure. Absence is never an error — the
+// caller's fallback is a fresh simulation, which is always correct.
+func (s *Store) Get(k Key) (payload []byte, ok bool) {
+	ok = s.View(k, func(p []byte) { payload = bytes.Clone(p) })
+	return payload, ok
+}
+
+// View calls fn with the payload stored under k and reports whether it
+// did; absence is as for Get, and fn is not called. It is Get without
+// the copy: the payload is lent, not given. It aliases a pooled read
+// buffer that the next lookup reuses, so it is valid only until fn
+// returns — fn must copy whatever it keeps and must not retain the slice.
+func (s *Store) View(k Key, fn func(payload []byte)) bool {
 	s.mu.RLock()
 	gen := s.gen
 	maybe := s.filter.mightContain(k.bytes())
@@ -222,9 +234,9 @@ func (s *Store) Get(k Key) ([]byte, bool) {
 		s.stats.Misses++
 		s.stats.FilterSkips++
 		s.mu.Unlock()
-		return nil, false
+		return false
 	}
-	payload, err := readEntry(filepath.Join(gen, k.filename()), k)
+	err := readEntry(filepath.Join(gen, k.filename()), k, fn)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err != nil {
@@ -232,10 +244,10 @@ func (s *Store) Get(k Key) ([]byte, bool) {
 		if !os.IsNotExist(err) {
 			s.stats.Corrupt++
 		}
-		return nil, false
+		return false
 	}
 	s.stats.Hits++
-	return payload, true
+	return true
 }
 
 // Put stores payload under k, atomically (temp + fsync + rename): a
@@ -280,11 +292,11 @@ func (s *Store) Keys() ([]Key, error) {
 }
 
 // Rebuild rewrites the whole store as one atomic operation: every
-// servable entry for which keep returns true (nil keeps everything) is
-// copied into the next generation, CURRENT is swapped with a durable
-// rename, and the old generation is removed. Unservable (corrupt,
-// stale) entries are dropped — rebuild doubles as compaction and
-// format-version garbage collection. Readers concurrently holding the
+// servable entry for which keep returns true (nil keeps everything; its
+// payload is lent, as in View) is copied into the next generation,
+// CURRENT is swapped with a durable rename, and the old generation is
+// removed. Unservable (corrupt, stale) entries are dropped — rebuild
+// doubles as compaction and format-version garbage collection. Readers concurrently holding the
 // store see a consistent generation throughout; other processes holding
 // the *old* generation open degrade to misses after the removal, which
 // re-simulates — never lies.
@@ -311,15 +323,15 @@ func (s *Store) Rebuild(keep func(Key, []byte) bool) error {
 		return err
 	}
 	for _, k := range keys {
-		payload, rerr := readEntry(filepath.Join(oldGen, k.filename()), k)
-		if rerr != nil {
-			continue // corrupt or stale: compacted away
-		}
-		if keep != nil && !keep(k, payload) {
-			continue
-		}
-		if err := writeEntry(newGen, k, payload); err != nil {
-			return err
+		var werr error
+		// A corrupt or stale entry fails the read and is compacted away.
+		_ = readEntry(filepath.Join(oldGen, k.filename()), k, func(payload []byte) {
+			if keep == nil || keep(k, payload) {
+				werr = writeEntry(newGen, k, payload)
+			}
+		})
+		if werr != nil {
+			return werr
 		}
 	}
 	syncDir(newGen)
@@ -347,8 +359,9 @@ var magic = [4]byte{'O', 'F', 'G', 'S'}
 
 const headerLen = 4 + 2 + keyLen + 8 // magic, version, key, payload length
 
-// writeEntry lands one entry crash-safely in gen.
-func writeEntry(gen string, k Key, payload []byte) error {
+// frameEntry lays out one entry: magic, format version, key, payload
+// length, payload, and the payload's SHA-256.
+func frameEntry(k Key, payload []byte) []byte {
 	blob := make([]byte, 0, headerLen+len(payload)+sha256.Size)
 	blob = append(blob, magic[:]...)
 	blob = binary.LittleEndian.AppendUint16(blob, FormatVersion)
@@ -356,8 +369,12 @@ func writeEntry(gen string, k Key, payload []byte) error {
 	blob = binary.LittleEndian.AppendUint64(blob, uint64(len(payload)))
 	blob = append(blob, payload...)
 	sum := sha256.Sum256(payload)
-	blob = append(blob, sum[:]...)
+	return append(blob, sum[:]...)
+}
 
+// writeEntry lands one entry crash-safely in gen.
+func writeEntry(gen string, k Key, payload []byte) error {
+	blob := frameEntry(k, payload)
 	tmp, err := os.CreateTemp(gen, ".put-*")
 	if err != nil {
 		return fmt.Errorf("goldenstore: put: %w", err)
@@ -381,36 +398,65 @@ func writeEntry(gen string, k Key, payload []byte) error {
 	return nil
 }
 
-// readEntry loads and verifies one entry. Every failure mode returns an
-// error the caller maps to a miss; fs.ErrNotExist distinguishes plain
+// readBufs recycles entry read buffers (*[]byte). A full-capture entry
+// is hundreds of KiB; reading each hit into a fresh buffer made the warm
+// path allocation-bound, and the payload only has to outlive readEntry's
+// callback.
+var readBufs sync.Pool
+
+// readEntry loads one entry into a pooled buffer, verifies magic,
+// version, key, length, and checksum, and only then lends the payload to
+// fn. The buffer goes back to the pool when readEntry returns, so fn must
+// not retain the payload. Every failure mode returns an error the caller
+// maps to a miss (fn is not called); fs.ErrNotExist distinguishes plain
 // absence from corruption for the stats.
-func readEntry(path string, k Key) ([]byte, error) {
-	blob, err := os.ReadFile(path)
+func readEntry(path string, k Key, fn func(payload []byte)) error {
+	f, err := os.Open(path)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	if len(blob) < headerLen+sha256.Size {
-		return nil, fmt.Errorf("goldenstore: entry truncated")
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return err
 	}
+	size := fi.Size()
+	if size < headerLen+sha256.Size {
+		return fmt.Errorf("goldenstore: entry truncated")
+	}
+	bp, _ := readBufs.Get().(*[]byte)
+	if bp == nil {
+		bp = new([]byte)
+	}
+	defer readBufs.Put(bp)
+	if int64(cap(*bp)) < size {
+		*bp = make([]byte, size)
+	}
+	blob := (*bp)[:size]
+	if _, err := io.ReadFull(f, blob); err != nil {
+		return fmt.Errorf("goldenstore: read entry: %w", err)
+	}
+
 	if [4]byte(blob[:4]) != magic {
-		return nil, fmt.Errorf("goldenstore: bad magic")
+		return fmt.Errorf("goldenstore: bad magic")
 	}
 	if v := binary.LittleEndian.Uint16(blob[4:6]); v != FormatVersion {
-		return nil, fmt.Errorf("goldenstore: stale format version %d", v)
+		return fmt.Errorf("goldenstore: stale format version %d", v)
 	}
 	if string(blob[6:6+keyLen]) != string(k.bytes()) {
-		return nil, fmt.Errorf("goldenstore: entry key mismatch")
+		return fmt.Errorf("goldenstore: entry key mismatch")
 	}
 	plen := binary.LittleEndian.Uint64(blob[6+keyLen : headerLen])
-	if uint64(len(blob)) != headerLen+plen+sha256.Size {
-		return nil, fmt.Errorf("goldenstore: entry length mismatch")
+	if uint64(size) != headerLen+plen+sha256.Size {
+		return fmt.Errorf("goldenstore: entry length mismatch")
 	}
 	payload := blob[headerLen : headerLen+plen]
 	sum := sha256.Sum256(payload)
 	if string(sum[:]) != string(blob[headerLen+plen:]) {
-		return nil, fmt.Errorf("goldenstore: checksum mismatch")
+		return fmt.Errorf("goldenstore: checksum mismatch")
 	}
-	return payload, nil
+	fn(payload)
+	return nil
 }
 
 // writeFileAtomic lands content at path via temp + fsync + rename +

@@ -38,6 +38,18 @@ func NewPart(layerQuantum float64) *Part {
 // Add records a deposit.
 func (p *Part) Add(d Deposit) { p.deposits = append(p.deposits, d) }
 
+// Grow sizes the ledger for n more deposits, so a caller that knows the
+// count up front (the golden codec) fills it with n Adds and no regrowth.
+// It allocates with make rather than slices.Grow: fresh heap memory is
+// already zero, and a fill-once ledger need not pay for a second clear.
+func (p *Part) Grow(n int) {
+	if n > cap(p.deposits)-len(p.deposits) {
+		d := make([]Deposit, len(p.deposits), len(p.deposits)+n)
+		copy(d, p.deposits)
+		p.deposits = d
+	}
+}
+
 // LayerQuantum returns the Z bucketing quantum, so a serialized part can
 // be reconstructed with NewPart(LayerQuantum()) + Add and behave
 // identically to the original.

@@ -191,3 +191,28 @@ func TestPartFilamentConservationProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestPartGrowPresizes: Grow keeps the ledger and makes room for exactly
+// the promised deposits, so filling them never regrows the slice.
+func TestPartGrowPresizes(t *testing.T) {
+	p := NewPart(0.2)
+	p.Add(Deposit{X: 1, Filament: 0.5})
+	p.Grow(100)
+	if got := cap(p.Deposits()) - len(p.Deposits()); got < 100 {
+		t.Fatalf("Grow(100) left room for %d deposits", got)
+	}
+	base := &p.Deposits()[0]
+	for i := 0; i < 100; i++ {
+		p.Add(Deposit{X: float64(i), Filament: 1})
+	}
+	if &p.Deposits()[0] != base {
+		t.Error("filling the grown ledger reallocated it")
+	}
+	if d := p.Deposits(); len(d) != 101 || d[0].X != 1 || d[100].X != 99 {
+		t.Errorf("ledger after Grow and fill: %d deposits, first %+v, last %+v", len(d), d[0], d[len(d)-1])
+	}
+	p.Grow(0)
+	if &p.Deposits()[0] != base {
+		t.Error("Grow(0) reallocated the ledger")
+	}
+}

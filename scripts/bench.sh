@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # bench.sh runs the key perf benchmarks (GoldenPrint, Campaign,
-# CampaignWide, MonitorObserve, plus the engine microbenchmarks) and
-# writes their results to BENCH_<label>.json so the perf trajectory is
-# tracked across PRs. The label defaults to the repo's commit count.
+# CampaignWide, MonitorObserve, GoldenStoreHit, plus the engine
+# microbenchmarks) and writes their results to BENCH_<label>.json so the
+# perf trajectory is tracked across PRs. The label defaults to the repo's commit count.
 #
 # Each benchmark runs `-count 5`; benchjson collapses the repetitions to
 # per-metric medians (the archived JSON notes "runs": 5), so one noisy
@@ -21,6 +21,10 @@ trap 'rm -f "$tmp"' EXIT
 go test -run NONE \
   -bench 'BenchmarkGoldenPrint$|BenchmarkCampaign$|BenchmarkCampaignWide$|BenchmarkMonitorObserve$' \
   -benchtime "$benchtime" -count 5 . | tee "$tmp"
+# A store hit is ~0.4 ms; enough ops that the first one's pooled read
+# buffer allocation does not show in B/op.
+go test -run NONE -bench 'BenchmarkGoldenStoreHit$' \
+  -benchtime 200x -count 5 . | tee -a "$tmp"
 go test -run NONE \
   -bench 'BenchmarkEngineSchedule$|BenchmarkEngineScheduleEdge$|BenchmarkEngineTicker$|BenchmarkEngineMixedHorizon$' \
   -benchtime 100x -count 5 ./internal/sim | tee -a "$tmp"
