@@ -27,6 +27,7 @@ import (
 
 	"offramps"
 	"offramps/internal/farm"
+	"offramps/internal/farm/faults"
 	"offramps/internal/goldenstore"
 )
 
@@ -80,14 +81,14 @@ func run(args []string, stdout io.Writer) error {
 	}
 
 	w := &farm.Worker{
-		Client:     &farm.Client{Base: *coord},
-		Name:       *name,
-		Dir:        *dir,
-		Cache:      cache,
-		Poll:       *poll,
-		MaxRetries: *retries,
-		Max:        *max,
-		Log:        stdout,
+		Client:  &farm.Client{Base: *coord},
+		Name:    *name,
+		Dir:     *dir,
+		Cache:   cache,
+		Poll:    *poll,
+		Backoff: faults.Backoff{Attempts: *retries},
+		Max:     *max,
+		Log:     stdout,
 	}
 	// SIGTERM/SIGINT abandons the in-flight scenario cleanly: the lease
 	// expires on the coordinator and another worker re-deals it.

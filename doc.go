@@ -46,7 +46,7 @@
 // journal) splits a sweep across machines, and StitchReport (behind the
 // farm and `suite -merge`) reassembles streamed rows into a report
 // byte-identical to an uninterrupted single-process run. Goldens are memoized in a layered
-// repository — in-process LRU (GoldenCache) over a persistent
+// repository — an in-process map (GoldenCache) over a persistent
 // content-addressed disk store (internal/goldenstore). Every suite runs
 // through one executor, RunSuiteProgressive, fed by the scheduler
 // (internal/sched). A plain suite (RunSuite) is the flat schedule: one

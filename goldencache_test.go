@@ -104,64 +104,6 @@ func TestGoldenCacheKeySeparation(t *testing.T) {
 	}
 }
 
-// TestGoldenCacheLimitEvictsLRU exercises the bounded cache directly:
-// entries beyond the cap evict least-recently-used, Bytes tracks the
-// retained estimate, and an evicted key recomputes on the next ask.
-func TestGoldenCacheLimitEvictsLRU(t *testing.T) {
-	gc := NewGoldenCacheWithLimit(2)
-	computes := 0
-	fresh := func() (*Result, error) {
-		computes++
-		return &Result{}, nil
-	}
-	key := func(b byte) goldenKey {
-		return goldenKey{program: [32]byte{b}}
-	}
-	for _, b := range []byte{1, 2} {
-		if _, err := gc.run(key(b), fresh); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if gc.Len() != 2 || computes != 2 {
-		t.Fatalf("len=%d computes=%d, want 2/2", gc.Len(), computes)
-	}
-	if gc.Bytes() <= 0 {
-		t.Error("no bytes accounted for cached results")
-	}
-	perEntry := gc.Bytes() / 2
-
-	// Touch 1, insert 3: 2 is now the LRU and must go.
-	if _, err := gc.run(key(1), fresh); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := gc.run(key(3), fresh); err != nil {
-		t.Fatal(err)
-	}
-	if gc.Len() != 2 {
-		t.Fatalf("len=%d after eviction, want 2", gc.Len())
-	}
-	if gc.Bytes() != 2*perEntry {
-		t.Errorf("bytes=%d after eviction, want %d", gc.Bytes(), 2*perEntry)
-	}
-
-	// 1 survived (hit, no recompute); 2 was evicted (recompute).
-	before := computes
-	if _, err := gc.run(key(1), fresh); err != nil {
-		t.Fatal(err)
-	}
-	if computes != before {
-		t.Error("surviving entry recomputed")
-	}
-	if _, err := gc.run(key(2), fresh); err != nil {
-		t.Fatal(err)
-	}
-	if computes != before+1 {
-		t.Error("evicted entry not recomputed")
-	}
-}
-
-// TestGoldenCacheModeSeparation: full-trace and fingerprint-mode results
-// are different shapes; the key must keep them apart.
 func TestGoldenCacheModeSeparation(t *testing.T) {
 	gc := NewGoldenCache()
 	fresh := func() (*Result, error) { return &Result{}, nil }
@@ -273,6 +215,44 @@ func TestGoldenCacheStoreCrossProcessBitIdentical(t *testing.T) {
 				t.Error("store-served golden differs from the run that populated it")
 			}
 		})
+	}
+}
+
+// TestGoldenCacheSharesStoreAcrossOpeners: two caches, each over its own
+// Store opened on one directory before either ran anything — two
+// co-located workers sharing -golden-store. The golden the first one
+// simulates is served to the second from disk, with no simulation.
+func TestGoldenCacheSharesStoreAcrossOpeners(t *testing.T) {
+	scens := []Scenario{{Name: "golden", Program: mustTestPart(t), Seed: 5}}
+	dir := t.TempDir()
+	var caches [2]*GoldenCache
+	for i := range caches {
+		store, err := goldenstore.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		caches[i] = NewGoldenCache()
+		caches[i].AttachStore(store)
+	}
+	var results [2][]ScenarioResult
+	for i, gc := range caches {
+		res, err := Campaign{Workers: 1, Cache: gc}.Run(context.Background(), scens)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := firstScenarioErr(res); err != nil {
+			t.Fatal(err)
+		}
+		results[i] = res
+	}
+	if caches[0].Sims() != 1 {
+		t.Fatalf("first cache sims = %d, want 1", caches[0].Sims())
+	}
+	if caches[1].Sims() != 0 {
+		t.Errorf("second cache simulated %d goldens the first one had stored, want 0", caches[1].Sims())
+	}
+	if !reflect.DeepEqual(results[0][0].Result, results[1][0].Result) {
+		t.Error("shared golden differs from the run that stored it")
 	}
 }
 
@@ -423,62 +403,13 @@ func TestGoldenCacheFailedOwnerWaitersRetry(t *testing.T) {
 	}
 }
 
-// TestGoldenCacheEvictionSparesInFlight: an entry still computing is
-// never evicted, no matter how much settled traffic churns past it.
-func TestGoldenCacheEvictionSparesInFlight(t *testing.T) {
-	gc := NewGoldenCacheWithLimit(1)
-	key := func(b byte) goldenKey { return goldenKey{program: [32]byte{b}} }
-
-	slowIn := make(chan struct{})
-	release := make(chan struct{})
-	var slowCalls atomic.Int32
-	slowDone := make(chan struct{})
-	go func() {
-		defer close(slowDone)
-		_, err := gc.run(key(0), func() (*Result, error) {
-			slowCalls.Add(1)
-			if slowCalls.Load() == 1 {
-				close(slowIn)
-				<-release
-			}
-			return &Result{}, nil
-		})
-		if err != nil {
-			t.Errorf("slow owner failed: %v", err)
-		}
-	}()
-	<-slowIn
-
-	// Churn settled entries past the cap while key 0 is in flight.
-	for b := byte(1); b <= 5; b++ {
-		if _, err := gc.run(key(b), func() (*Result, error) { return &Result{}, nil }); err != nil {
-			t.Fatal(err)
-		}
-	}
-	close(release)
-	<-slowDone
-
-	if gc.Bytes() < 0 {
-		t.Errorf("bytes went negative: %d", gc.Bytes())
-	}
-	// Key 0 must have survived the churn: asking again is a hit.
-	if _, err := gc.run(key(0), func() (*Result, error) {
-		t.Error("in-flight entry was evicted and recomputed")
-		return &Result{}, nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if slowCalls.Load() != 1 {
-		t.Errorf("slow key computed %d times, want 1", slowCalls.Load())
-	}
-}
-
-// TestGoldenCacheChurnInvariants drives a bounded cache through
-// concurrent hits, misses, failures, and evictions (run under -race in
-// CI) and checks the accounting invariants afterwards: bytes never
-// negative, length within the cap once quiescent.
+// TestGoldenCacheChurnInvariants drives the cache through concurrent
+// hits, misses, and failed owners (run under -race in CI) and checks the
+// accounting invariants afterwards: bytes never negative, and once
+// quiescent every settled entry counted in Bytes exactly once while no
+// failed owner left an entry behind.
 func TestGoldenCacheChurnInvariants(t *testing.T) {
-	gc := NewGoldenCacheWithLimit(2)
+	gc := NewGoldenCache()
 	key := func(b byte) goldenKey { return goldenKey{program: [32]byte{b}} }
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -508,11 +439,11 @@ func TestGoldenCacheChurnInvariants(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if gc.Bytes() < 0 {
-		t.Errorf("bytes negative after churn: %d", gc.Bytes())
+	if n := gc.Len(); n == 0 || n > 8 {
+		t.Errorf("len = %d after churn over 8 keys, want 1..8", n)
 	}
-	if gc.Len() > 2 {
-		t.Errorf("len = %d after churn with limit 2", gc.Len())
+	if want := int64(gc.Len()) * resultBytes(&Result{}); gc.Bytes() != want {
+		t.Errorf("bytes = %d after churn, want %d (one count per settled entry)", gc.Bytes(), want)
 	}
 	hits, misses := gc.Stats()
 	if hits+misses == 0 {

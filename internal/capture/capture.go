@@ -170,7 +170,14 @@ func ReadCSV(rd io.Reader) (*Recording, error) {
 		}
 		var vals [5]int64
 		for i, f := range fields {
-			v, err := strconv.ParseInt(strings.TrimSpace(f), 10, 64)
+			// The index is a uint32 and the counts are int32s: parse each
+			// at its own width so an out-of-range value is an error, not a
+			// silently truncated count.
+			bits := 32
+			if i == 0 {
+				bits = 64
+			}
+			v, err := strconv.ParseInt(strings.TrimSpace(f), 10, bits)
 			if err != nil {
 				return nil, fmt.Errorf("capture: line %d field %d: %w", line, i, err)
 			}

@@ -2,6 +2,7 @@ package capture
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -142,5 +143,31 @@ func TestCSVBlankLinesTolerated(t *testing.T) {
 	r, err := ReadCSV(strings.NewReader(src))
 	if err != nil || r.Len() != 2 {
 		t.Errorf("blank-line parse: %v, len %d", err, r.Len())
+	}
+}
+
+// TestCSVCountsOutOfInt32Rejected: a count outside int32 is an error.
+// Reading it as int64 and truncating served "4294967297" as X=1 and
+// "-4294967296" as E=0, so a comparison ran on counts the file never
+// held. The int32 extremes themselves still parse.
+func TestCSVCountsOutOfInt32Rejected(t *testing.T) {
+	for _, row := range []string{
+		"0, 4294967297, 0, 0, -4294967296",
+		"0, 2147483648, 0, 0, 0",
+		"0, 0, -2147483649, 0, 0",
+		"0, 0, 0, 9223372036854775807, 0",
+	} {
+		src := "Index, X, Y, Z, E\n" + row + "\n"
+		if r, err := ReadCSV(strings.NewReader(src)); err == nil {
+			t.Errorf("ReadCSV(%q) accepted as %+v", row, r.Transactions)
+		}
+	}
+	r, err := ReadCSV(strings.NewReader("Index, X, Y, Z, E\n0, 2147483647, -2147483648, 0, 0\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := Transaction{X: math.MaxInt32, Y: math.MinInt32}
+	if r.Len() != 1 || r.Transactions[0] != want {
+		t.Errorf("int32 extremes parsed as %+v, want %+v", r.Transactions, want)
 	}
 }

@@ -13,37 +13,23 @@ import (
 	"offramps/internal/farm/faults"
 )
 
-// Timeouts are the per-operation deadlines of the farm protocol. Small
-// control-plane calls (lease, heartbeat, fail) get short windows so a
-// stalled coordinator cannot wedge a heartbeat behind a slow transfer;
-// bulk calls (suite fetch, completion upload) get room. Zero fields
-// take the defaults.
-type Timeouts struct {
-	Lease     time.Duration // default 5s
-	Heartbeat time.Duration // default 3s
-	Fail      time.Duration // default 5s
-	Complete  time.Duration // default 30s
-	Suite     time.Duration // default 2m
-}
-
-func pick(d, def time.Duration) time.Duration {
-	if d > 0 {
-		return d
-	}
-	return def
-}
-
-func (t Timeouts) lease() time.Duration     { return pick(t.Lease, 5*time.Second) }
-func (t Timeouts) heartbeat() time.Duration { return pick(t.Heartbeat, 3*time.Second) }
-func (t Timeouts) fail() time.Duration      { return pick(t.Fail, 5*time.Second) }
-func (t Timeouts) complete() time.Duration  { return pick(t.Complete, 30*time.Second) }
-func (t Timeouts) suite() time.Duration     { return pick(t.Suite, 2*time.Minute) }
+// The per-operation deadlines of the farm protocol. Small control-plane
+// calls (lease, heartbeat, fail) get short windows so a stalled
+// coordinator cannot wedge a heartbeat behind a slow transfer; bulk
+// calls (suite fetch, completion upload) get room.
+const (
+	leaseTimeout     = 5 * time.Second
+	heartbeatTimeout = 3 * time.Second
+	failTimeout      = 5 * time.Second
+	completeTimeout  = 30 * time.Second
+	suiteTimeout     = 2 * time.Minute
+)
 
 // Client is the worker side of the farm protocol: a thin, retry-free
 // HTTP wrapper (the worker loop owns retry policy, because only it
 // knows whether a failure is worth waiting out). Every call carries its
-// own context deadline from Timeouts — there is deliberately no
-// catch-all http.Client timeout, so one slow operation class cannot
+// own context deadline from the constants above — there is deliberately
+// no catch-all http.Client timeout, so one slow operation class cannot
 // redefine the budget of another.
 type Client struct {
 	// Base is the coordinator's URL, e.g. "http://127.0.0.1:7333".
@@ -51,8 +37,6 @@ type Client struct {
 	// HTTP overrides the transport (nil = http.DefaultClient semantics;
 	// chaos tests install a faults.Transport here).
 	HTTP *http.Client
-	// Timeouts are the per-call deadlines (zero fields = defaults).
-	Timeouts Timeouts
 	// Clock issues the deadlines (nil = faults.Wall{}); injectable so
 	// scripted chaos runs control when a call times out.
 	Clock faults.Clock
@@ -78,7 +62,7 @@ func (c *Client) url(path string) string {
 
 // FetchSuite downloads the canonical suite document.
 func (c *Client) FetchSuite(ctx context.Context) ([]byte, error) {
-	ctx, cancel := c.clock().WithTimeout(ctx, c.Timeouts.suite())
+	ctx, cancel := c.clock().WithTimeout(ctx, suiteTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.url(PathSuite), nil)
 	if err != nil {
@@ -102,7 +86,7 @@ func (c *Client) FetchSuite(ctx context.Context) ([]byte, error) {
 // Lease asks for one scenario.
 func (c *Client) Lease(ctx context.Context, worker string) (*LeaseReply, error) {
 	var out LeaseReply
-	if err := c.post(ctx, PathLease, c.Timeouts.lease(), LeaseRequest{Worker: worker}, &out); err != nil {
+	if err := c.post(ctx, PathLease, leaseTimeout, LeaseRequest{Worker: worker}, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -111,7 +95,7 @@ func (c *Client) Lease(ctx context.Context, worker string) (*LeaseReply, error) 
 // Heartbeat extends a lease; false means the lease is gone.
 func (c *Client) Heartbeat(ctx context.Context, token string) (bool, error) {
 	var out HeartbeatReply
-	if err := c.post(ctx, PathHeartbeat, c.Timeouts.heartbeat(), HeartbeatRequest{Token: token}, &out); err != nil {
+	if err := c.post(ctx, PathHeartbeat, heartbeatTimeout, HeartbeatRequest{Token: token}, &out); err != nil {
 		return false, err
 	}
 	return out.OK, nil
@@ -121,7 +105,7 @@ func (c *Client) Heartbeat(ctx context.Context, token string) (bool, error) {
 // coordinator's verdict (accepted, duplicate, unknown).
 func (c *Client) Complete(ctx context.Context, req CompleteRequest) (string, error) {
 	var out CompleteReply
-	if err := c.post(ctx, PathComplete, c.Timeouts.complete(), req, &out); err != nil {
+	if err := c.post(ctx, PathComplete, completeTimeout, req, &out); err != nil {
 		return "", err
 	}
 	return out.Status, nil
@@ -131,7 +115,7 @@ func (c *Client) Complete(ctx context.Context, req CompleteRequest) (string, err
 // with a strike.
 func (c *Client) Fail(ctx context.Context, req FailRequest) (string, error) {
 	var out FailReply
-	if err := c.post(ctx, PathFail, c.Timeouts.fail(), req, &out); err != nil {
+	if err := c.post(ctx, PathFail, failTimeout, req, &out); err != nil {
 		return "", err
 	}
 	return out.Status, nil

@@ -1,9 +1,12 @@
 // Package goldenstore is the persistent tier of the layered golden
 // repository (DESIGN.md §13): an on-disk, content-addressed store of
 // encoded golden results keyed by (program hash, seed, budget, capture
-// mode), sitting below the in-memory LRU of offramps.GoldenCache and
-// behind a Bloom existence filter, modeled on the cache → bloom → store
-// lookup pipeline of the rr-dns blocklist repository (SNIPPETS.md).
+// mode), sitting below the in-memory tier of offramps.GoldenCache. A
+// lookup is memory, then disk, with nothing in between: a miss here
+// costs one failed open, and a golden simulation always follows it, so
+// no existence filter could pay for itself. Asking the disk every time
+// also means co-located processes sharing one directory see each
+// other's entries at once.
 //
 // The store never trusts its own bytes: every entry carries a magic,
 // format version, its full key, and a SHA-256 payload checksum, and any

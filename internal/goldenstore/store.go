@@ -34,8 +34,8 @@ type Key struct {
 
 const keyLen = 32 + 8 + 8 + 1
 
-// bytes is the key's canonical binary form — the unit the Bloom filter
-// hashes and the entry header embeds.
+// bytes is the key's canonical binary form, which the entry header
+// embeds.
 func (k Key) bytes() []byte {
 	b := make([]byte, keyLen)
 	copy(b, k.Program[:])
@@ -75,13 +75,14 @@ func parseFilename(name string) (Key, bool) {
 type Stats struct {
 	// Hits is entries served (header, key, and checksum all verified).
 	Hits uint64
-	// Misses is lookups that found nothing servable; FilterSkips of
-	// them never touched the disk (Bloom-negative), and Corrupt of them
+	// Misses is lookups that found nothing servable; Corrupt of them
 	// found a file but rejected it (torn, stale, or checksum-bad —
 	// still a miss, by policy).
-	Misses      uint64
+	Misses  uint64
+	Corrupt uint64
+	// FilterSkips is always 0: every lookup asks the disk. It remains
+	// only because perfbench/trace.go reads it.
 	FilterSkips uint64
-	Corrupt     uint64
 	// Puts is entries written.
 	Puts uint64
 }
@@ -90,24 +91,18 @@ type Stats struct {
 // concurrent use; several processes may share one directory (writers
 // land entries atomically, and identical keys hold identical bytes
 // because simulation is deterministic, so last-write-wins is sound).
-//
-// The Bloom filter snapshots the directory at Open and tracks this
-// process's own Puts; entries written by *other* processes afterwards
-// are invisible until Refresh or reopen — a stale negative only costs a
-// re-simulation, never a wrong result.
+// Every lookup asks the disk, so another process's Put is visible to
+// this one as soon as its rename lands.
 type Store struct {
 	dir string
 
-	mu     sync.RWMutex
-	gen    string // active generation directory (absolute)
-	filter *bloom
-	count  int    // keys added to the filter since it was sized
-	cap    uint64 // filter's sized capacity, for regrow decisions
-	stats  Stats
+	mu    sync.RWMutex
+	gen   string // active generation directory (absolute)
+	stats Stats
 }
 
-// Open opens (creating if needed) the store rooted at dir, loads the
-// active generation's key set, and sizes the existence filter for it.
+// Open opens (creating if needed) the store rooted at dir and resolves
+// its active generation.
 func Open(dir string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("goldenstore: %w", err)
@@ -118,9 +113,6 @@ func Open(dir string) (*Store, error) {
 		return nil, err
 	}
 	s.gen = gen
-	if err := s.rescanLocked(); err != nil {
-		return nil, err
-	}
 	return s, nil
 }
 
@@ -160,30 +152,6 @@ func scanKeys(gen string) ([]Key, error) {
 	return keys, nil
 }
 
-// rescanLocked rebuilds the existence filter from the directory. Callers
-// hold s.mu (or are single-threaded in Open).
-func (s *Store) rescanLocked() error {
-	keys, err := scanKeys(s.gen)
-	if err != nil {
-		return err
-	}
-	capacity := uint64(len(keys))*2 + 1024
-	f := newBloom(capacity, 0.01)
-	for _, k := range keys {
-		f.add(k.bytes())
-	}
-	s.filter, s.count, s.cap = f, len(keys), capacity
-	return nil
-}
-
-// Refresh rescans the directory, picking up entries other processes
-// wrote since Open (or the last Refresh).
-func (s *Store) Refresh() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.rescanLocked()
-}
-
 // Len counts the entries on disk in the active generation, other
 // processes' writes and not-yet-healed corrupt files included: the
 // entries a Rebuild would consider.
@@ -211,9 +179,9 @@ func (s *Store) Dir() string { return s.dir }
 func (s *Store) Close() error { return nil }
 
 // Get returns a copy of the payload stored under k, or ok=false on any
-// kind of absence: filter-negative, no file, torn file, stale format,
-// key mismatch, checksum failure. Absence is never an error — the
-// caller's fallback is a fresh simulation, which is always correct.
+// kind of absence: no file, torn file, stale format, key mismatch,
+// checksum failure. Absence is never an error — the caller's fallback
+// is a fresh simulation, which is always correct.
 func (s *Store) Get(k Key) (payload []byte, ok bool) {
 	ok = s.View(k, func(p []byte) { payload = bytes.Clone(p) })
 	return payload, ok
@@ -227,15 +195,7 @@ func (s *Store) Get(k Key) (payload []byte, ok bool) {
 func (s *Store) View(k Key, fn func(payload []byte)) bool {
 	s.mu.RLock()
 	gen := s.gen
-	maybe := s.filter.mightContain(k.bytes())
 	s.mu.RUnlock()
-	if !maybe {
-		s.mu.Lock()
-		s.stats.Misses++
-		s.stats.FilterSkips++
-		s.mu.Unlock()
-		return false
-	}
 	err := readEntry(filepath.Join(gen, k.filename()), k, fn)
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -262,23 +222,14 @@ func (s *Store) Put(k Key, payload []byte) error {
 		return err
 	}
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.filter.add(k.bytes())
-	s.count++
 	s.stats.Puts++
-	// Regrow the filter before saturation lifts its false-positive rate;
-	// a rescan also folds in any concurrent writers' entries.
-	if uint64(s.count) > s.cap {
-		if err := s.rescanLocked(); err != nil {
-			return err
-		}
-	}
+	s.mu.Unlock()
 	return nil
 }
 
 // Keys lists every entry in the active generation, sorted by file name
-// (deterministic for tests and tooling). It reads the directory, not
-// the filter, so it also sees other processes' writes.
+// (deterministic for tests and tooling), other processes' writes
+// included.
 func (s *Store) Keys() ([]Key, error) {
 	s.mu.RLock()
 	gen := s.gen
@@ -343,9 +294,6 @@ func (s *Store) Rebuild(keep func(Key, []byte) bool) error {
 		return fmt.Errorf("goldenstore: rebuild: swap: %w", err)
 	}
 	s.gen = newGen
-	if err := s.rescanLocked(); err != nil {
-		return err
-	}
 	if err := os.RemoveAll(oldGen); err != nil && !os.IsNotExist(err) {
 		return fmt.Errorf("goldenstore: rebuild: drop old generation: %w", err)
 	}

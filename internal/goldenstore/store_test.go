@@ -2,7 +2,6 @@ package goldenstore
 
 import (
 	"bytes"
-	"fmt"
 	"os"
 	"path/filepath"
 	"sync"
@@ -78,8 +77,34 @@ func TestStoreReopenSeesEntries(t *testing.T) {
 			t.Fatalf("reopened Get(%d) = %q, %v", b, got, ok)
 		}
 	}
-	if st := s2.StatsSnapshot(); st.FilterSkips != 0 {
-		t.Errorf("reopened store skipped real entries: %+v", st)
+}
+
+// TestStoreSeesOtherOpenersPuts: a Put through one Store is a hit
+// through a second Store opened earlier on the same directory — how two
+// worker processes sharing one store directory see each other's goldens.
+func TestStoreSeesOtherOpenersPuts(t *testing.T) {
+	dir := t.TempDir()
+	a, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := testKey(7)
+	if _, ok := b.Get(k); ok {
+		t.Fatal("empty store served an entry")
+	}
+	payload := []byte("written by the other opener")
+	if err := a.Put(k, payload); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := b.Get(k); !ok || !bytes.Equal(got, payload) {
+		t.Fatalf("second opener Get = %q, %v; want the first opener's payload", got, ok)
+	}
+	if st := b.StatsSnapshot(); st.Hits != 1 || st.Misses != 1 {
+		t.Errorf("second opener stats = %+v, want 1 hit / 1 miss", st)
 	}
 }
 
@@ -209,7 +234,6 @@ func TestStoreWrongKeyUnderFilename(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(s.gen, b.filename()), blob, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	s.Refresh()
 	if _, ok := s.Get(b); ok {
 		t.Fatal("entry with mismatched embedded key was served")
 	}
@@ -340,53 +364,5 @@ func TestStoreRebuildUnderReaders(t *testing.T) {
 	wg.Wait()
 	if n := storeLen(t, s); n != keys {
 		t.Errorf("Len = %d after identity rebuilds, want %d", n, keys)
-	}
-}
-
-// TestStoreFilterRegrows: Puts past the filter's sized capacity trigger
-// a rescan-and-regrow, keeping lookups exact for everything written.
-func TestStoreFilterRegrows(t *testing.T) {
-	s, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.mu.Lock()
-	s.filter, s.cap = newBloom(4, 0.01), 4 // shrink to force regrowth
-	s.mu.Unlock()
-	for i := 0; i < 32; i++ {
-		k := testKey(byte(i))
-		k.Seed = uint64(i) * 977
-		if err := s.Put(k, []byte{byte(i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 32; i++ {
-		k := testKey(byte(i))
-		k.Seed = uint64(i) * 977
-		if got, ok := s.Get(k); !ok || !bytes.Equal(got, []byte{byte(i)}) {
-			t.Fatalf("entry %d lost after regrow", i)
-		}
-	}
-}
-
-func TestBloomBasics(t *testing.T) {
-	bf := newBloom(1000, 0.01)
-	for i := 0; i < 1000; i++ {
-		bf.add([]byte(fmt.Sprintf("key-%d", i)))
-	}
-	for i := 0; i < 1000; i++ {
-		if !bf.mightContain([]byte(fmt.Sprintf("key-%d", i))) {
-			t.Fatalf("false negative on key-%d", i)
-		}
-	}
-	fp := 0
-	for i := 0; i < 10000; i++ {
-		if bf.mightContain([]byte(fmt.Sprintf("absent-%d", i))) {
-			fp++
-		}
-	}
-	// 1% target; 3% tolerance keeps the assertion robust.
-	if fp > 300 {
-		t.Errorf("false-positive rate too high: %d/10000", fp)
 	}
 }
