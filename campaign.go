@@ -8,7 +8,6 @@ import (
 	"runtime"
 	"sync"
 
-	"offramps/internal/capture"
 	"offramps/internal/detect"
 	"offramps/internal/firmware"
 	"offramps/internal/fpga"
@@ -95,7 +94,7 @@ type Campaign struct {
 	// scenario finished. The campaign never closes a sink — one sink
 	// commonly spans several Run calls (a suite's waves, a multi-suite
 	// sweep), so the owner must call Close after the last campaign or
-	// buffered sinks (e.g. CSVSink) lose their tail.
+	// a buffering sink loses its tail.
 	Sinks []ResultSink
 	// CaptureMode selects full-trace or fingerprint-only capture for
 	// every run (default CaptureFull). In fingerprint mode no scenario
@@ -430,16 +429,4 @@ func firstScenarioErr(results []ScenarioResult) error {
 		}
 	}
 	return nil
-}
-
-// scenarioCapture extracts a scenario's non-empty recording or explains
-// why it cannot.
-func scenarioCapture(r ScenarioResult) (*capture.Recording, error) {
-	if r.Err != nil {
-		return nil, r.Err
-	}
-	if r.Result == nil || r.Result.Recording == nil || r.Result.Recording.Len() == 0 {
-		return nil, fmt.Errorf("offramps: scenario %q produced no capture", r.Name)
-	}
-	return r.Result.Recording, nil
 }

@@ -91,6 +91,10 @@ func run(args []string) error {
 		return fmt.Errorf("nothing selected; use -all or pick experiments")
 	}
 
+	var opts []offramps.ExperimentOption
+	if *workers > 0 {
+		opts = append(opts, offramps.WithWorkers(*workers))
+	}
 	// -golden-store swaps the process-wide experiment cache for one backed
 	// by a persistent tier: a rerun of the same tables serves its goldens
 	// from disk instead of re-simulating them.
@@ -102,22 +106,24 @@ func run(args []string) error {
 		}
 		cache = offramps.NewGoldenCache()
 		cache.AttachStore(store)
+		opts = append(opts, offramps.WithGoldenCache(cache))
 	}
 
+	type report interface{ Format() string }
 	type experiment struct {
 		enabled bool
 		name    string
 		key     string // stable key for the -json document
-		run     func() (interface{ Format() string }, error)
+		run     func() (report, error)
 	}
 	list := []experiment{
-		{*table1, "Table I", "table1", func() (interface{ Format() string }, error) { return offrampsTableI(*seed, *workers, cache) }},
-		{*table2, "Table II", "table2", func() (interface{ Format() string }, error) { return offrampsTableII(*seed, *workers, cache) }},
-		{*figure4, "Figure 4", "figure4", func() (interface{ Format() string }, error) { return offrampsFigure4(*seed, *workers, cache) }},
-		{*overhead, "Overhead (§V-B)", "overhead", func() (interface{ Format() string }, error) { return offrampsOverhead(*seed, *workers, cache) }},
-		{*drift, "Drift (§V-C)", "drift", func() (interface{ Format() string }, error) { return offrampsDrift(*seed, *runs, *workers, cache) }},
-		{*tapside, "Tap sides (§V-D)", "tapside", func() (interface{ Format() string }, error) { return offrampsTapSides(*seed, *workers, cache) }},
-		{*selfatt, "Self-attestation", "selfattest", func() (interface{ Format() string }, error) { return offrampsSelfAttest(*seed, *workers, cache) }},
+		{*table1, "Table I", "table1", func() (report, error) { return offramps.TableI(*seed, opts...) }},
+		{*table2, "Table II", "table2", func() (report, error) { return offramps.TableII(*seed, opts...) }},
+		{*figure4, "Figure 4", "figure4", func() (report, error) { return offramps.Figure4(*seed, opts...) }},
+		{*overhead, "Overhead (§V-B)", "overhead", func() (report, error) { return offramps.Overhead(*seed, opts...) }},
+		{*drift, "Drift (§V-C)", "drift", func() (report, error) { return offramps.Drift(*seed, *runs, opts...) }},
+		{*tapside, "Tap sides (§V-D)", "tapside", func() (report, error) { return offramps.TapSides(*seed, opts...) }},
+		{*selfatt, "Self-attestation", "selfattest", func() (report, error) { return offramps.SelfAttest(*seed, opts...) }},
 	}
 	reports := make(map[string]any)
 	for _, ex := range list {

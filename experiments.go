@@ -2,6 +2,7 @@ package offramps
 
 import (
 	"context"
+	"embed"
 	"fmt"
 	"strings"
 
@@ -43,6 +44,55 @@ func newCampaign(opts []ExperimentOption) Campaign {
 		opt(&c)
 	}
 	return c
+}
+
+// experimentSpecs holds the committed spec files that define the fixed
+// paper experiments: `suite`, the farm and the experiment entry points
+// all run the same bytes.
+//
+//go:embed examples/specs/grid_tableii.json examples/specs/figure4.json examples/specs/tapside_dual.json examples/specs/attestation.json
+var experimentSpecs embed.FS
+
+// experimentSuite loads the named experiment spec file (a grid_*.json
+// file is expanded) and anchors it at seed, the way `suite -seed` does.
+func experimentSuite(file string, seed uint64) (*SuiteSpec, error) {
+	data, err := experimentSpecs.ReadFile("examples/specs/" + file)
+	if err != nil {
+		return nil, err
+	}
+	var s *SuiteSpec
+	if isGridFile(file) {
+		var g *GridSpec
+		if g, err = ParseGridSpec(data, ""); err == nil {
+			s, err = g.Expand()
+		}
+	} else {
+		s, err = ParseSuiteSpec(data, "")
+	}
+	if err != nil {
+		return nil, fmt.Errorf("offramps: %s: %w", file, err)
+	}
+	s.BaseSeed = seed
+	return s, nil
+}
+
+// runExperiment runs a suite-shaped experiment on the experiment
+// campaign. It returns the report, or the first scenario error or
+// comparison error.
+func runExperiment(suite *SuiteSpec, opts []ExperimentOption) (*SuiteReport, error) {
+	rep, err := newCampaign(opts).RunSuite(context.Background(), suite)
+	if err != nil {
+		return nil, err
+	}
+	if err := firstScenarioErr(rep.Results); err != nil {
+		return nil, err
+	}
+	for _, cmp := range rep.Comparisons {
+		if cmp.Err != nil {
+			return nil, fmt.Errorf("offramps: compare %s vs %s: %w", cmp.Golden, cmp.Suspect, cmp.Err)
+		}
+	}
+	return rep, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -98,6 +148,8 @@ var paperEffects = map[string]string{
 // TableISpecs returns the declarative Table I scenario grid: the clean
 // T0 print plus one scenario per registered Table I trojan, every seed a
 // zero delta from the base (the paper pairs all ten prints on one seed).
+// It stays in Go because it derives from trojan.SuiteIDs: the trojan
+// registry is its one definition.
 func TableISpecs() []ScenarioSpec {
 	specs := []ScenarioSpec{{Name: "T0"}}
 	for _, id := range trojan.SuiteIDs {
@@ -115,29 +167,20 @@ func TableISpecs() []ScenarioSpec {
 // TableI reproduces the paper's Table I: print the test part once clean
 // (T0, FPGA in bypass) and once under each trojan — all fanned across the
 // campaign worker pool — and verify each trojan's physical effect on the
-// part or machine. The scenario grid comes from TableISpecs through the
-// spec compiler.
+// part or machine. The scenario grid comes from TableISpecs.
 func TableI(seed uint64, opts ...ExperimentOption) (*TableIReport, error) {
-	suite := trojan.Suite(seed)
-	scens, err := CompileSpecs(SpecContext{BaseSeed: seed}, TableISpecs())
+	rep, err := runExperiment(&SuiteSpec{Name: "table1", BaseSeed: seed, Scenarios: TableISpecs()}, opts)
 	if err != nil {
 		return nil, err
 	}
-	results, err := newCampaign(opts).Run(context.Background(), scens)
-	if err != nil {
-		return nil, err
-	}
-	if err := firstScenarioErr(results); err != nil {
-		return nil, err
-	}
-	golden := results[0].Result
+	golden := rep.Results[0].Result
 	if !golden.Completed {
 		return nil, fmt.Errorf("offramps: golden print halted: %w", golden.HaltError)
 	}
 
 	report := &TableIReport{Golden: golden}
-	for i, tr := range suite {
-		res := results[i+1].Result
+	for i, tr := range trojan.Suite(seed) {
+		res := rep.Results[i+1].Result
 		row := TableIRow{
 			ID:       tr.ID(),
 			Kind:     tr.Kind().String(),
@@ -233,52 +276,27 @@ func (r *TableIIReport) Format() string {
 	return sb.String()
 }
 
-// TableIISuite returns the paper's Table II as a declarative suite: the
-// golden print, the eight Flaw3D-tampered prints on offset seeds
-// (modelling physically separate runs of the same job), a clean control
-// on its own seed, and one golden comparison per suspect.
-func TableIISuite(seed uint64) *SuiteSpec {
-	s := &SuiteSpec{
-		Name:      "table2",
-		BaseSeed:  seed,
-		Scenarios: []ScenarioSpec{{Name: "golden"}},
-	}
-	for i, tc := range flaw3d.TableII() {
-		name := fmt.Sprintf("flaw3d-%d", tc.Num)
-		s.Scenarios = append(s.Scenarios, ScenarioSpec{
-			Name:      name,
-			Program:   ProgramSpec{Flaw3D: tc.Num},
-			SeedDelta: uint64(i) + 100,
-		})
-		s.Compare = append(s.Compare, CompareSpec{Golden: "golden", Suspect: name})
-	}
-	s.Scenarios = append(s.Scenarios, ScenarioSpec{Name: "clean-control", SeedDelta: 999})
-	// Clean control: same G-code, different seed — must pass.
-	s.Compare = append(s.Compare, CompareSpec{Golden: "golden", Suspect: "clean-control"})
-	return s
-}
-
 // TableII reproduces the paper's Table II: emulate the eight Flaw3D
 // trojans by tampering the G-code (as the paper's Python script does),
 // print each on the OFFRAMPS testbed in parallel, capture the pulse
 // profiles, and replay each through the golden detector. The whole
-// experiment — prints and comparisons — executes the declarative
-// TableIISuite.
+// experiment — prints and comparisons — is examples/specs/grid_tableii.json:
+// the golden print, the eight tampered prints on offset seeds (modelling
+// physically separate runs of the same job), a clean control on its own
+// seed, and one golden comparison per suspect.
 func TableII(seed uint64, opts ...ExperimentOption) (*TableIIReport, error) {
-	rep, err := newCampaign(opts).RunSuite(context.Background(), TableIISuite(seed))
+	suite, err := experimentSuite("grid_tableii.json", seed)
 	if err != nil {
 		return nil, err
 	}
-	if err := firstScenarioErr(rep.Results); err != nil {
+	rep, err := runExperiment(suite, opts)
+	if err != nil {
 		return nil, err
 	}
 
 	report := &TableIIReport{}
 	cases := flaw3d.TableII()
 	for i, cmp := range rep.Comparisons {
-		if cmp.Err != nil {
-			return nil, fmt.Errorf("offramps: compare %s vs %s: %w", cmp.Golden, cmp.Suspect, cmp.Err)
-		}
 		if i < len(cases) {
 			report.Rows = append(report.Rows, TableIIRow{
 				Case: cases[i], Report: *cmp.Report, Detected: cmp.Report.TrojanLikely,
@@ -322,42 +340,22 @@ func (r *Figure4Report) Format() string {
 	return sb.String()
 }
 
-// Figure4Suite returns the paper's Figure 4 workload as a declarative
-// suite: a golden print, a Flaw3D relocation print (Table II test case 7,
-// the paper's "relocates material every 20 movements"), and their golden
-// comparison.
-func Figure4Suite(seed uint64) *SuiteSpec {
-	return &SuiteSpec{
-		Name:     "figure4",
-		BaseSeed: seed,
-		Scenarios: []ScenarioSpec{
-			{Name: "golden"},
-			{Name: "relocation", Program: ProgramSpec{Flaw3D: 7}, SeedDelta: 107},
-		},
-		Compare: []CompareSpec{{Golden: "golden", Suspect: "relocation"}},
-	}
-}
-
 // Figure4 reproduces the paper's Figure 4 using the same trojan the paper
-// shows, by executing the declarative Figure4Suite.
+// shows, by running examples/specs/figure4.json: a golden print, a Flaw3D
+// relocation print (Table II test case 7, the paper's "relocates material
+// every 20 movements"), and their golden comparison.
 func Figure4(seed uint64, opts ...ExperimentOption) (*Figure4Report, error) {
-	srep, err := newCampaign(opts).RunSuite(context.Background(), Figure4Suite(seed))
+	suite, err := experimentSuite("figure4.json", seed)
 	if err != nil {
 		return nil, err
 	}
-	golden, err := scenarioCapture(srep.Results[0])
+	srep, err := runExperiment(suite, opts)
 	if err != nil {
 		return nil, err
 	}
-	suspect, err := scenarioCapture(srep.Results[1])
-	if err != nil {
-		return nil, err
-	}
-	cmp := srep.Comparisons[0]
-	if cmp.Err != nil {
-		return nil, cmp.Err
-	}
-	rep := *cmp.Report
+	// The comparison succeeded, so both captures exist and are non-empty.
+	golden, suspect := srep.Results[0].Result.Recording, srep.Results[1].Result.Recording
+	rep := *srep.Comparisons[0].Report
 
 	out := &Figure4Report{Report: rep}
 	// Excerpt 6 transactions around the first mismatch, like the paper.
@@ -420,7 +418,7 @@ func (r *OverheadReport) Format() string {
 // with the MITM inline and with jumpers in direct mode. The latency
 // probes the experiment adds to the MITM print are instrumentation, not
 // topology, so they attach as a Prepare hook after compilation — the one
-// part of this experiment a spec cannot carry.
+// part of this experiment a spec cannot carry, and why it stays in Go.
 func OverheadSpecs() []ScenarioSpec {
 	direct := false
 	return []ScenarioSpec{
@@ -582,41 +580,21 @@ func (r *TapSideReport) Format() string {
 	return sb.String()
 }
 
-// TapSidesSuite returns the tap-placement experiment as a declarative
-// suite: a golden print, the same print with trojan T2 masking extruder
-// pulses on the board itself and both buses tapped, and one golden
-// comparison per tap side of the trojaned capture.
-func TapSidesSuite(seed uint64) *SuiteSpec {
-	return &SuiteSpec{
-		Name:     "tapsides",
-		BaseSeed: seed,
-		Scenarios: []ScenarioSpec{
-			{Name: "golden"},
-			{Name: "trojaned", Trojan: &TrojanSpec{Name: "T2"}, Tap: "dual"},
-		},
-		Compare: []CompareSpec{
-			{Golden: "golden", Suspect: "trojaned", SuspectTap: "arduino"},
-			{Golden: "golden", Suspect: "trojaned", SuspectTap: "ramps"},
-		},
-	}
-}
-
-// TapSides runs the declarative TapSidesSuite: the golden detector misses
-// a board-injected trojan when the capture taps the FPGA's input (the
-// co-location blind spot the paper reproduces faithfully), and catches
-// the very same print when the capture taps the FPGA's output.
+// TapSides runs examples/specs/tapside_dual.json — a golden print, the
+// same print with trojan T2 masking extruder pulses on the board itself
+// and both buses tapped, and one golden comparison per tap side: the
+// golden detector misses a board-injected trojan when the capture taps
+// the FPGA's input (the co-location blind spot the paper reproduces
+// faithfully), and catches the very same print when the capture taps the
+// FPGA's output.
 func TapSides(seed uint64, opts ...ExperimentOption) (*TapSideReport, error) {
-	srep, err := newCampaign(opts).RunSuite(context.Background(), TapSidesSuite(seed))
+	suite, err := experimentSuite("tapside_dual.json", seed)
 	if err != nil {
 		return nil, err
 	}
-	if err := firstScenarioErr(srep.Results); err != nil {
+	srep, err := runExperiment(suite, opts)
+	if err != nil {
 		return nil, err
-	}
-	for _, cmp := range srep.Comparisons {
-		if cmp.Err != nil {
-			return nil, fmt.Errorf("offramps: compare %s vs %s: %w", cmp.Golden, cmp.Suspect, cmp.Err)
-		}
 	}
 	golden, trojaned := srep.Results[0].Result, srep.Results[1].Result
 	report := &TapSideReport{
@@ -687,47 +665,17 @@ func (r *SelfAttestReport) Format() string {
 	return sb.String()
 }
 
-// SelfAttestSuite returns the board self-attestation experiment as a
-// declarative suite: a dual-tap board-T2 print carrying the attestation
-// detector, a clean dual-tap attestation control, and a golden print
-// used only for the contrast — the paper's golden comparison of the very
-// same trojaned run's Arduino-side capture, which must stay clean.
-func SelfAttestSuite(seed uint64) *SuiteSpec {
-	return &SuiteSpec{
-		Name:     "selfattest",
-		BaseSeed: seed,
-		Scenarios: []ScenarioSpec{
-			{
-				Name:     "attested",
-				Trojan:   &TrojanSpec{Name: "T2"},
-				Tap:      "dual",
-				Detector: &DetectorSpec{Name: "attestation", Tap: "dual"},
-			},
-			{
-				Name:     "clean-attested",
-				Tap:      "dual",
-				Detector: &DetectorSpec{Name: "attestation", Tap: "dual"},
-			},
-			{Name: "golden"},
-		},
-		Compare: []CompareSpec{
-			// The trojaned run's own upstream capture through the paper's
-			// two-print workflow: provably clean (§V-D).
-			{Golden: "golden", Suspect: "attested", SuspectTap: "arduino"},
-		},
-	}
-}
-
-// SelfAttest runs the declarative SelfAttestSuite: a board-run T2 is
+// SelfAttest runs examples/specs/attestation.json: a board-run T2 is
 // detected by dual-tap self-attestation in a single print with no golden
 // capture, while the paper's Arduino-side workflow reports the same
 // print clean.
 func SelfAttest(seed uint64, opts ...ExperimentOption) (*SelfAttestReport, error) {
-	srep, err := newCampaign(opts).RunSuite(context.Background(), SelfAttestSuite(seed))
+	suite, err := experimentSuite("attestation.json", seed)
 	if err != nil {
 		return nil, err
 	}
-	if err := firstScenarioErr(srep.Results); err != nil {
+	srep, err := runExperiment(suite, opts)
+	if err != nil {
 		return nil, err
 	}
 	attested, clean, golden := srep.Results[0].Result, srep.Results[1].Result, srep.Results[2].Result
@@ -735,9 +683,6 @@ func SelfAttest(seed uint64, opts ...ExperimentOption) (*SelfAttestReport, error
 		return nil, fmt.Errorf("offramps: selfattest: attestation reports missing")
 	}
 	cmp := srep.Comparisons[0]
-	if cmp.Err != nil {
-		return nil, fmt.Errorf("offramps: compare %s vs %s: %w", cmp.Golden, cmp.Suspect, cmp.Err)
-	}
 	return &SelfAttestReport{
 		TrojanID:           "T2",
 		Attestation:        *attested.Detections[0],
@@ -752,6 +697,8 @@ func SelfAttest(seed uint64, opts ...ExperimentOption) (*SelfAttestReport, error
 
 // DriftSuite returns the §V-C workload as a declarative suite: `runs`
 // known-good prints of the same job on stepped seeds, compared pairwise.
+// It stays in Go because its shape depends on `runs`, and a grid cannot
+// express its all-pairs comparisons.
 func DriftSuite(seed uint64, runs int) *SuiteSpec {
 	s := &SuiteSpec{Name: "drift", BaseSeed: seed}
 	for i := 0; i < runs; i++ {
@@ -780,20 +727,12 @@ func Drift(seed uint64, runs int, opts ...ExperimentOption) (*DriftReport, error
 	if runs < 2 {
 		return nil, fmt.Errorf("offramps: drift needs at least 2 runs, got %d", runs)
 	}
-	srep, err := newCampaign(opts).RunSuite(context.Background(), DriftSuite(seed, runs))
+	srep, err := runExperiment(DriftSuite(seed, runs), opts)
 	if err != nil {
 		return nil, err
 	}
-	for i, r := range srep.Results {
-		if _, err := scenarioCapture(r); err != nil {
-			return nil, fmt.Errorf("offramps: drift run %d: %w", i, err)
-		}
-	}
 	report := &DriftReport{Runs: runs, FinalCountsEqual: true}
 	for _, cmp := range srep.Comparisons {
-		if cmp.Err != nil {
-			return nil, cmp.Err
-		}
 		rep := cmp.Report
 		if rep.LargestSubstantial > report.MaxDriftPercent {
 			report.MaxDriftPercent = rep.LargestSubstantial

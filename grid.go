@@ -238,7 +238,7 @@ func LoadGridSpec(path string) (*GridSpec, error) {
 // with grids mixed in keep working. This is the one loading path shared
 // by cmd/suite, cmd/gridgen consumers, and the farm coordinator.
 func LoadSuiteOrGrid(path string, forceGrid bool) (*SuiteSpec, error) {
-	if forceGrid || strings.HasPrefix(filepath.Base(path), "grid_") {
+	if forceGrid || isGridFile(path) {
 		g, err := LoadGridSpec(path)
 		if err != nil {
 			return nil, err
@@ -251,6 +251,10 @@ func LoadSuiteOrGrid(path string, forceGrid bool) (*SuiteSpec, error) {
 	}
 	return LoadSuiteSpec(path)
 }
+
+// isGridFile reports whether path follows the grid_*.json naming
+// convention that marks a spec file as a grid.
+func isGridFile(path string) bool { return strings.HasPrefix(filepath.Base(path), "grid_") }
 
 // programLabel derives a deterministic label for a program axis value.
 func programLabel(p ProgramSpec) string {
@@ -649,7 +653,7 @@ func (g *GridSpec) expand(withLayout bool) (*SuiteSpec, *sched.Grid, error) {
 // a progressive sweep needs the grid's axes to derive cell
 // neighbourhoods from.
 func LoadSuiteOrGridLayout(path string, forceGrid bool) (*SuiteSpec, *sched.Grid, error) {
-	if !forceGrid && !strings.HasPrefix(filepath.Base(path), "grid_") {
+	if !forceGrid && !isGridFile(path) {
 		return nil, nil, fmt.Errorf("offramps: %s: progressive execution needs a grid spec (name it grid_*.json or force grid interpretation)", path)
 	}
 	g, err := LoadGridSpec(path)

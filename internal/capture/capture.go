@@ -16,6 +16,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 
@@ -119,10 +120,15 @@ func (r *Recording) WindowTime(i int) (sim.Time, error) {
 	return r.StartedAt + sim.Time(i+1)*r.Period, nil
 }
 
-// Append adds a transaction, enforcing contiguous indices.
+// Append adds a transaction, enforcing contiguous indices. Index
+// 4294967295 is the last window a recording can hold; nothing follows it.
 func (r *Recording) Append(t Transaction) error {
 	if len(r.Transactions) > 0 {
-		if want := r.Transactions[len(r.Transactions)-1].Index + 1; t.Index != want {
+		last := r.Transactions[len(r.Transactions)-1].Index
+		if last == math.MaxUint32 {
+			return fmt.Errorf("capture: index %d after the last window %d", t.Index, last)
+		}
+		if want := last + 1; t.Index != want {
 			return fmt.Errorf("capture: non-contiguous index %d, want %d", t.Index, want)
 		}
 	}
@@ -152,16 +158,20 @@ func ReadCSV(rd io.Reader) (*Recording, error) {
 	sc.Buffer(make([]byte, 0, 64*1024), 8*1024*1024)
 	rec := &Recording{}
 	line := 0
+	header := false
 	for sc.Scan() {
 		line++
 		text := strings.TrimSpace(sc.Text())
 		if text == "" {
 			continue
 		}
-		if line == 1 {
-			if !strings.HasPrefix(strings.ToUpper(strings.ReplaceAll(text, " ", "")), "INDEX,X,Y,Z,E") {
-				return nil, fmt.Errorf("capture: line 1: bad header %q", text)
+		if !header {
+			// The first non-blank line must be the paper's header, so a
+			// headerless file cannot slip in behind a leading blank line.
+			if strings.ToUpper(strings.ReplaceAll(text, " ", "")) != "INDEX,X,Y,Z,E" {
+				return nil, fmt.Errorf("capture: line %d: bad header %q", line, text)
 			}
+			header = true
 			continue
 		}
 		fields := strings.Split(text, ",")

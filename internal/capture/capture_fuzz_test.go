@@ -21,6 +21,9 @@ func FuzzReadCSV(f *testing.F) {
 		"Index, X, Y, Z, E\n0, 1, 1, 1, 1\n5, 1, 1, 1, 1\n",
 		"Index, X, Y, Z, E\n-1, 2, 3, 4, 5\n",
 		"bogus header\n1, 2, 3, 4, 5\n",
+		"Index, X, Y, Z, Extra, More\n0, 1, 2, 3, 4\n",
+		"Index, X, Y, Z, E\n4294967295, 1, 2, 3, 4\n0, 1, 2, 3, 4\n",
+		"\n0, 1, 2, 3, 4\n",
 		"",
 	} {
 		f.Add(seed)

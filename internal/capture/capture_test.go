@@ -130,6 +130,7 @@ func TestCSVErrors(t *testing.T) {
 		"Index, X, Y, Z, E\na, 2, 3, 4, 5\n",
 		"Index, X, Y, Z, E\n-1, 2, 3, 4, 5\n",
 		"Index, X, Y, Z, E\n0, 1, 1, 1, 1\n5, 1, 1, 1, 1\n", // gap
+		"\n0, 1, 2, 3, 4\n",                                 // no header: the first line is blank
 	}
 	for _, src := range cases {
 		if _, err := ReadCSV(strings.NewReader(src)); err == nil {
@@ -169,5 +170,44 @@ func TestCSVCountsOutOfInt32Rejected(t *testing.T) {
 	want := Transaction{X: math.MaxInt32, Y: math.MinInt32}
 	if r.Len() != 1 || r.Transactions[0] != want {
 		t.Errorf("int32 extremes parsed as %+v, want %+v", r.Transactions, want)
+	}
+}
+
+// TestCSVHeaderMustMatchExactly: the header must be the paper's five
+// columns and nothing else. A prefix match accepted a header such as
+// "Index, X, Y, Z, Extra, More", so a file with other columns read as a
+// capture.
+func TestCSVHeaderMustMatchExactly(t *testing.T) {
+	for _, header := range []string{
+		"Index, X, Y, Z, Extra, More",
+		"Index, X, Y, Z, E, F",
+		"Index, X, Y, Z, Ex",
+	} {
+		src := header + "\n0, 1, 2, 3, 4\n"
+		if _, err := ReadCSV(strings.NewReader(src)); err == nil {
+			t.Errorf("ReadCSV accepted header %q", header)
+		}
+	}
+	for _, header := range []string{"Index, X, Y, Z, E", "INDEX,X,Y,Z,E", "index , x,y, z ,e"} {
+		if _, err := ReadCSV(strings.NewReader(header + "\n0, 1, 2, 3, 4\n")); err != nil {
+			t.Errorf("ReadCSV rejected header %q: %v", header, err)
+		}
+	}
+}
+
+// TestAppendAfterLastIndexRejected: window 4294967295 is the last index a
+// uint32 holds. Computing the next index as Index+1 wrapped to 0, so a
+// row 0 after it passed the contiguity check.
+func TestAppendAfterLastIndexRejected(t *testing.T) {
+	var r Recording
+	if err := r.Append(Transaction{Index: math.MaxUint32}); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Append(Transaction{Index: 0}); err == nil {
+		t.Error("index 0 after index 4294967295 accepted")
+	}
+	src := "Index, X, Y, Z, E\n4294967295, 1, 2, 3, 4\n0, 1, 2, 3, 4\n"
+	if _, err := ReadCSV(strings.NewReader(src)); err == nil {
+		t.Error("ReadCSV accepted a wrapped index")
 	}
 }

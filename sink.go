@@ -2,7 +2,6 @@ package offramps
 
 import (
 	"bufio"
-	"encoding/csv"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -142,36 +141,6 @@ func ScenarioCSVRow(suite string, r ScenarioResult) []string {
 		f(res.Quality.TotalFilament),
 		"",
 	)
-}
-
-// CSVSink streams scenario rows as CSV, writing the header before the
-// first row. Label fills the suite column.
-type CSVSink struct {
-	Label       string
-	w           *csv.Writer
-	wroteHeader bool
-}
-
-// NewCSVSink streams CSV records to w.
-func NewCSVSink(w io.Writer) *CSVSink {
-	return &CSVSink{w: csv.NewWriter(w)}
-}
-
-// Emit writes one record (plus the header, first time).
-func (s *CSVSink) Emit(r ScenarioResult) error {
-	if !s.wroteHeader {
-		if err := s.w.Write(ScenarioCSVHeader); err != nil {
-			return err
-		}
-		s.wroteHeader = true
-	}
-	return s.w.Write(ScenarioCSVRow(s.Label, r))
-}
-
-// Close flushes buffered records.
-func (s *CSVSink) Close() error {
-	s.w.Flush()
-	return s.w.Error()
 }
 
 // ProgressSink prints a human progress line per completed scenario —

@@ -3,7 +3,6 @@ package offramps
 import (
 	"bytes"
 	"context"
-	"encoding/csv"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -32,12 +31,11 @@ func sinkScenarios(t *testing.T) []Scenario {
 // TestCampaignStreamsToSinks: every completed scenario reaches every
 // sink exactly once, regardless of completion order.
 func TestCampaignStreamsToSinks(t *testing.T) {
-	var jsonl, csvBuf, prog strings.Builder
+	var jsonl, prog strings.Builder
 	jl := NewJSONLSink(&jsonl)
 	jl.Label = "stream-test"
-	cs := NewCSVSink(&csvBuf)
 	ps := &ProgressSink{W: &prog, Total: 3}
-	c := Campaign{Workers: 2, Sinks: []ResultSink{jl, cs, ps}}
+	c := Campaign{Workers: 2, Sinks: []ResultSink{jl, ps}}
 
 	results, err := c.Run(context.Background(), sinkScenarios(t))
 	if err != nil {
@@ -77,23 +75,6 @@ func TestCampaignStreamsToSinks(t *testing.T) {
 	}
 	if len(names) != 3 {
 		t.Errorf("jsonl names = %v", names)
-	}
-
-	// CSV: header + 3 records under the shared schema.
-	recs, err := csv.NewReader(strings.NewReader(csvBuf.String())).ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 4 {
-		t.Fatalf("csv records = %d", len(recs))
-	}
-	if got, want := strings.Join(recs[0], ","), strings.Join(ScenarioCSVHeader, ","); got != want {
-		t.Errorf("csv header = %q", got)
-	}
-	for _, rec := range recs[1:] {
-		if rec[0] != "scenario" || rec[1] != "" || rec[6] != "true" {
-			t.Errorf("csv record %v", rec)
-		}
 	}
 
 	// Progress: [i/3] framing on each of the three lines.

@@ -263,14 +263,23 @@ func TestParseSuiteSpecStrict(t *testing.T) {
 	}
 }
 
-// TestBuiltinSuitesValidate compiles every built-in experiment's spec
-// form — the spec path and the experiment entry points must never drift.
+// TestBuiltinSuitesValidate loads every embedded experiment spec and
+// compiles it, alongside the experiments still built in Go.
 func TestBuiltinSuitesValidate(t *testing.T) {
 	suites := []*SuiteSpec{
-		TableIISuite(1), Figure4Suite(1), DriftSuite(1, 3), TapSidesSuite(1),
-		SelfAttestSuite(1),
+		DriftSuite(1, 3),
 		{Name: "table1", BaseSeed: 1, Scenarios: TableISpecs()},
 		{Name: "overhead", BaseSeed: 1, Scenarios: OverheadSpecs()},
+	}
+	for _, file := range []string{"grid_tableii.json", "figure4.json", "tapside_dual.json", "attestation.json"} {
+		s, err := experimentSuite(file, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.BaseSeed != 7 {
+			t.Errorf("%s: base seed %d, want 7", file, s.BaseSeed)
+		}
+		suites = append(suites, s)
 	}
 	for _, s := range suites {
 		if err := s.Validate(); err != nil {
